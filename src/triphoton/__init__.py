@@ -4,7 +4,9 @@ Exact event probabilities for a few photons in small linear-optical networks,
 parameterised by the Gram matrix of the photons' internal states; includes
 the collective three-photon phase, a mixed-state extension, a noisy
 heralded-source model with threshold-detector cascades, and an independent
-brute-force Fock-space oracle.
+brute-force Fock-space oracle.  Multi-pair and polarisation-dependent source
+terms go through the permutation-sum engine; the oracle only checks them,
+polarisation dependence through an explicit 2m-mode network.
 """
 
 __version__ = "0.1.0"

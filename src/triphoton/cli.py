@@ -39,6 +39,9 @@ from .modes import qubit_triad_phase
 from .oracle import equivalence_report
 from .source import SourceParams
 
+# The recipes each grid kind scans; any other pairing is a config error.
+GRID_RECIPES = {"delay": ("all_H", "static_pi"), "triad": ("dynamic",)}
+
 _NUMBER = {"type": "number"}
 _MATRIX = {
     "type": "array",
@@ -147,11 +150,18 @@ CONFIG_SCHEMA = {
 }
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
+
+
 def load_config(path: str | Path) -> dict:
-    """Read and schema-validate a configuration file."""
+    """Read and schema-validate a configuration file; non-finite numbers are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -179,7 +189,7 @@ def _resolved(config: dict) -> dict:
     prep.setdefault("central_frequency", 0.0)
     out["preparation"] = prep
     grid = dict(config.get("grid", {}))
-    grid.setdefault("kind", "delay" if prep["recipe"] in ("all_H", "static_pi") else "triad")
+    grid.setdefault("kind", "delay" if prep["recipe"] in GRID_RECIPES["delay"] else "triad")
     out["grid"] = grid
     src = dict(config.get("source", {}))
     for key, value in (
@@ -333,6 +343,10 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None, th
         extra: dict = {}
 
         if mode in ("ideal-scan", "experiment"):
+            kind, recipe = resolved["grid"]["kind"], resolved["preparation"]["recipe"]
+            if recipe not in GRID_RECIPES[kind]:
+                scanned = " or ".join(GRID_RECIPES[kind])
+                raise ConfigError(f"$.grid.kind: a {kind} grid scans {scanned}, not {recipe!r}")
             if mode == "ideal-scan":
                 result, order = _run_ideal_scan(resolved)
             else:

@@ -20,23 +20,22 @@ from .errors import DomainError
 from .interference import (
     Network,
     balanced_tritter,
+    columns_distribution,
     event_distribution,
     two_photon_marginals_tritter,
 )
 from .mixedstate import (
     _mixing_weight,
     build_densities,
-    gram_schmidt_temporal,
     mixed_event_distribution,
+    temporal_basis,
 )
 from .modes import (
     GaussianTemporalMode,
     InternalState,
     PolarizationState,
-    temporal_overlap,
     gram_matrix,
 )
-from .oracle import evolve_and_measure, expand_from_vectors
 from .source import (
     SourceParams,
     enumerate_terms,
@@ -311,20 +310,6 @@ def _mode_click_probs(n: int, leaves: int, eta: float) -> tuple[float, ...]:
     return tuple(probs)
 
 
-def _single_photon_distribution(
-    mode: int, pol: PolarizationState, net_h: Network, net_v: Network
-) -> dict[tuple[int, ...], float]:
-    wh = abs(pol.amplitude_h) ** 2
-    wv = abs(pol.amplitude_v) ** 2
-    probs = wh * np.abs(net_h.matrix[:, mode]) ** 2 + wv * np.abs(net_v.matrix[:, mode]) ** 2
-    out = {}
-    for k, p in enumerate(probs):
-        occ = [0, 0, 0]
-        occ[k] = 1
-        out[tuple(occ)] = float(p)
-    return out
-
-
 def _convolve_noise(
     dist: dict[tuple[int, ...], float],
     noise_idlers: tuple[int, int, int],
@@ -366,84 +351,69 @@ class _PointModel:
         self.net_v = net_v
         self.pol_dependent = pol_dependent
         self.p_common = _mixing_weight(purity, purity_model)
-        self.densities = build_densities(states, purity, model=purity_model)
-        t_gram = np.eye(3, dtype=complex)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                v = temporal_overlap(states[i].temporal, states[j].temporal)
-                t_gram[i, j] = v
-                t_gram[j, i] = np.conj(v)
-        self.temporal_rows = gram_schmidt_temporal(t_gram).coefficients
+        basis = temporal_basis(states)
+        self.densities = build_densities(states, purity, model=purity_model, basis=basis)
+        # Rank truncation at near-coincident delays leaves rows short of unit norm.
+        rows = basis.coefficients
+        self.temporal_rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         self._cache: dict = {}
 
-    def _pure_vector(self, source: int, slot: int, polarized: bool) -> np.ndarray:
-        """Amplitude vector of one pair idler of ``source`` in mixedness ``slot``."""
-        slot_vec = np.zeros(4, dtype=complex)
-        slot_vec[slot] = 1.0
+    def _column(self, source: int) -> np.ndarray:
+        """Output amplitudes of one idler of ``source``.
+
+        A polarisation-dependent network doubles the outputs to (output, H)
+        then (output, V): polarisation moves from the internal state to the mode.
+        """
+        u_h, u_v = self.net_h.matrix[:, source], self.net_v.matrix[:, source]
+        if not self.pol_dependent:
+            return u_h
+        pol = self.states[source].polarization
+        return np.concatenate([pol.amplitude_h * u_h, pol.amplitude_v * u_v])
+
+    def _internal_vector(self, source: int, slot: int) -> np.ndarray:
+        """Internal state of one idler of ``source`` in mixedness ``slot``."""
+        slot_vec = np.eye(4)[slot]
         temp = self.temporal_rows[source]
-        pol = np.array(
-            [
-                self.states[source].polarization.amplitude_h,
-                self.states[source].polarization.amplitude_v,
-            ],
-            dtype=complex,
-        )
-        if polarized:
-            return np.kron(pol, np.kron(temp, slot_vec))
-        return np.kron(temp, np.kron(pol, slot_vec))
+        if self.pol_dependent:
+            return np.kron(temp, slot_vec)
+        pol = self.states[source].polarization
+        return np.kron(temp, np.kron([pol.amplitude_h, pol.amplitude_v], slot_vec))
 
-    def _oracle_distribution(self, pairs: tuple[int, int, int]) -> dict:
-        """Network distribution of the pair idlers via the Fock oracle.
+    def _engine_distribution(self, pairs: tuple[int, int, int]) -> dict:
+        """Network distribution of the pair idlers via the permutation-sum engine.
 
-        Mixedness is realised jointly per source: all idlers of one source
-        share one mixedness slot per convex branch.
+        All idlers of one source share one mixedness slot per convex branch,
+        so idlers sharing an input mode share one internal state.
         """
         participating = [i for i in range(3) if pairs[i] > 0]
-        branches = []
-        for i in participating:
-            if self.p_common >= 1.0:
-                branches.append([(1.0, 0)])
-            else:
-                branches.append([(self.p_common, 0), (1.0 - self.p_common, 1 + i)])
-        rdim = self.temporal_rows.shape[1]
-        width = rdim * 4
-        tags = ("H",) * width + ("V",) * width if self.pol_dependent else None
-        net = {"H": self.net_h, "V": self.net_v} if self.pol_dependent else self.net_h
+        modes = tuple(i for i in participating for _ in range(pairs[i]))
+        columns = np.stack([self._column(i) for i in modes], axis=1)
+        p = self.p_common
+        branches = [[(1.0, 0)] if p >= 1.0 else [(p, 0), (1.0 - p, 1 + i)] for i in participating]
         total: dict[tuple[int, ...], float] = {}
         for combo in product(*branches):
-            weight = 1.0
-            vectors = []
-            modes = []
-            for (w, slot), i in zip(combo, participating):
-                weight *= w
-                vec = self._pure_vector(i, slot, self.pol_dependent)
-                for _ in range(pairs[i]):
-                    vectors.append(vec)
-                    modes.append(i)
-            fock = expand_from_vectors(np.array(vectors), modes, 3, internal_pol=tags)
-            for occ, p in evolve_and_measure(fock, net).items():
-                total[occ] = total.get(occ, 0.0) + weight * p
+            weight = math.prod(w for w, _ in combo)
+            slots = {i: slot for i, (_, slot) in zip(participating, combo)}
+            vectors = np.array([self._internal_vector(i, slots[i]) for i in modes])
+            for occ, q in columns_distribution(columns, vectors @ vectors.conj().T, modes).items():
+                if self.pol_dependent:
+                    occ = tuple(h + v for h, v in zip(occ[:3], occ[3:]))
+                total[occ] = total.get(occ, 0.0) + weight * q
         return total
 
     def pair_distribution(self, pairs: tuple[int, int, int]) -> dict:
-        key = pairs
-        if key in self._cache:
-            return self._cache[key]
+        if pairs in self._cache:
+            return self._cache[pairs]
         n = sum(pairs)
         if n == 0:
             dist = {(0, 0, 0): 1.0}
-        elif n == 1:
-            mode = pairs.index(1)
-            dist = _single_photon_distribution(
-                mode, self.states[mode].polarization, self.net_h, self.net_v
-            )
-        elif max(pairs) == 1 and not self.pol_dependent:
+        elif n > 1 and max(pairs) == 1 and not self.pol_dependent:
             inputs = tuple(i for i in range(3) if pairs[i] == 1)
             dens = [self.densities[i] for i in inputs]
             dist = mixed_event_distribution(self.net_h, inputs, dens)
         else:
-            dist = self._oracle_distribution(pairs)
-        self._cache[key] = dist
+            dist = self._engine_distribution(pairs)
+        self._cache[pairs] = dist
         return dist
 
 
@@ -487,11 +457,13 @@ def simulate_counts(
     """Heralded click-pattern probabilities of the full experiment model.
 
     For every scan point the heralded source ensemble is pushed through the
-    network: single-pair terms use the exact mixed-state trace formulas,
-    multi-pair terms go through the Fock oracle, noise photons are folded in
-    by exact convolution, and the occupation distribution is converted to
-    threshold-detector click patterns through the cascade.  Series are
-    probabilities per triple-heralded trial.
+    network.  Terms with one idler from each of two or three sources use the
+    exact mixed-state trace formulas on a polarisation-independent network.
+    Every other term, multi-pair terms included, uses the permutation-sum
+    engine; a polarisation-dependent network enters it by mode doubling.
+    Noise photons are folded in by exact convolution, and the occupation
+    distribution is converted to threshold-detector click patterns through
+    the cascade.  Series are probabilities per triple-heralded trial.
     """
     if isinstance(preparations, Preparation):
         preparations = [preparations]

@@ -7,8 +7,10 @@ The general engine evaluates the double permutation sum
 
 where M repeats the row of the scattering matrix for output j exactly s_j
 times (columns indexed by photons) and S is the Gram matrix of internal
-states.  Closed forms for the balanced beamsplitter and tritter are provided
-and must agree with the general engine to near machine precision.
+states.  Photons sharing an input mode and internal state divide the sum by
+the input-occupation factorials as well.  Closed forms for the balanced
+beamsplitter and tritter are provided and must agree with the general engine
+to near machine precision.
 """
 
 from __future__ import annotations
@@ -214,25 +216,6 @@ def event_probability(
     return _finalize_probability(total)
 
 
-def event_probability_expansion(net: Network, spec: EventSpec, g) -> float:
-    """Three-photon probability via the permutation expansion in Hadamard-product permanents.
-
-    Independent of :func:`event_probability`'s double sum; the two paths are
-    cross-checked in the test suite.  Only defined for n = 3.
-    """
-    if spec.n != 3:
-        raise DomainError("the expansion path is written for exactly three photons")
-    s = _gram_entries(g)
-    m = _expanded_matrix(net, spec)
-    total = 0.0 + 0.0j
-    for pi in itertools.permutations(range(3)):
-        weight = s[0, pi[0]] * s[1, pi[1]] * s[2, pi[2]]
-        hadamard = m[:, list(pi)] * np.conj(m)
-        total += np.conj(weight) * permanent_naive(hadamard)
-    total /= _occupation_factor(spec.output_occupation)
-    return _finalize_probability(total)
-
-
 def event_distribution(
     net: Network,
     input_modes: tuple[int, ...],
@@ -247,6 +230,37 @@ def event_distribution(
             net, EventSpec(tuple(input_modes), occ), g, max_photons=max_photons
         )
         for occ in output_occupations(n, net.m)
+    }
+
+
+def columns_distribution(
+    columns: np.ndarray, g, input_modes: tuple[int, ...]
+) -> dict[tuple[int, ...], float]:
+    """Probabilities of every output occupation; ``columns[k, i]`` takes photon i to output k.
+
+    ``input_modes[i]`` is photon i's input mode.  Photons sharing a mode must
+    share one internal state, so the input norm is prod_j r_j! over the mode
+    occupations r_j.  The S-product table is built once for all occupations.
+    """
+    cols = np.asarray(columns, dtype=complex)
+    n = cols.shape[1]
+    if n > DEFAULT_MAX_PHOTONS:
+        raise SizeLimit(f"{n} photons exceeds the exact-evaluation cap of {DEFAULT_MAX_PHOTONS}")
+    s = _gram_entries(g)
+    if s.shape[0] != n or len(input_modes) != n:
+        raise DomainError("Gram matrix and input modes must match the photon number")
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    # sprod[a, b] = prod_k S[perm_a(k), perm_b(k)]
+    sprod = s[perms[:, None, :], perms[None, :, :]].prod(axis=2)
+    occupations = output_occupations(n, cols.shape[0])
+    rows = np.array([[j for j, sj in enumerate(occ) for _ in range(sj)] for occ in occupations])
+    # amps[o, a] = prod_k columns[rows[o, k], perm_a(k)]
+    amps = cols[rows[:, None, :], perms[None, :, :]].prod(axis=2)
+    raw = np.einsum("oa,ab,ob->o", amps, sprod, np.conj(amps))
+    input_factor = _occupation_factor(tuple(input_modes.count(j) for j in set(input_modes)))
+    return {
+        occ: _finalize_probability(complex(value) / (_occupation_factor(occ) * input_factor))
+        for occ, value in zip(occupations, raw)
     }
 
 

@@ -136,8 +136,24 @@ def _mixing_weight(purity: float, model: str) -> float:
     return 0.5 * (1.0 + math.sqrt(disc))
 
 
+def temporal_basis(states: list[InternalState]) -> TemporalBasis:
+    """Triangular orthonormal basis of the states' temporal modes."""
+    n = len(states)
+    t_gram = np.eye(n, dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = temporal_overlap(states[i].temporal, states[j].temporal)
+            t_gram[i, j] = v
+            t_gram[j, i] = np.conj(v)
+    return gram_schmidt_temporal(t_gram)
+
+
 def build_densities(
-    states: list[InternalState], purity: float, *, model: str = "trace"
+    states: list[InternalState],
+    purity: float,
+    *,
+    model: str = "trace",
+    basis: TemporalBasis | None = None,
 ) -> list[InternalDensity]:
     """Internal density matrices for partially pure photons on a shared basis.
 
@@ -146,7 +162,8 @@ def build_densities(
     common to all photons and the |d_i> are mutually orthogonal.  With the
     default ``model="trace"``, p solves p^2 + (1-p)^2 = purity (larger root)
     so that Tr(rho^2) equals the requested purity; ``model="weight"`` uses the
-    purity directly as the common-mode weight.
+    purity directly as the common-mode weight.  ``basis`` is the states'
+    :func:`temporal_basis` when the caller has already built it.
     """
     n = len(states)
     if n < 1:
@@ -155,16 +172,9 @@ def build_densities(
         raise DomainError("density construction expects states without auxiliary components")
     p = _mixing_weight(purity, model)
 
-    t_gram = np.eye(n, dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = temporal_overlap(states[i].temporal, states[j].temporal)
-            t_gram[i, j] = v
-            t_gram[j, i] = np.conj(v)
-    basis = gram_schmidt_temporal(t_gram)
-    # Row pairing sum_k C[i,k]*conj(C[j,k]) reproduces t_gram[i,j], matching
-    # the pairing convention of modes.overlap.
-    temp_rows = basis.coefficients
+    # Row pairing sum_k C[i,k]*conj(C[j,k]) reproduces the temporal overlaps,
+    # matching the pairing convention of modes.overlap.
+    temp_rows = (basis or temporal_basis(states)).coefficients
 
     mix_dim = 1 + n
     out = []

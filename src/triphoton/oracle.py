@@ -25,15 +25,13 @@ class FockState:
     """Amplitudes over occupations of (mode, internal index) slots.
 
     Occupation keys are flat tuples of length ``n_modes * internal_dim`` in
-    mode-major order.  ``internal_pol`` optionally tags each internal index
-    with the polarisation block it belongs to ('H' or 'V'), which allows a
-    polarisation-dependent network to act blockwise.
+    mode-major order.  A polarisation-dependent network is simulated as a
+    plain network over (mode, polarisation) pairs.
     """
 
     n_modes: int
     internal_dim: int
     amplitudes: dict[tuple[int, ...], complex] = field(default_factory=dict)
-    internal_pol: tuple[str, ...] | None = None
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
@@ -54,12 +52,7 @@ def vectors_from_gram(g: np.ndarray) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])[None, :]
 
 
-def expand_from_vectors(
-    vectors: np.ndarray,
-    input_modes: list[int],
-    n_modes: int,
-    internal_pol: tuple[str, ...] | None = None,
-) -> FockState:
+def expand_from_vectors(vectors: np.ndarray, input_modes: list[int], n_modes: int) -> FockState:
     """Create the (normalised) input Fock state for one photon per vector.
 
     ``input_modes`` may repeat: photons sharing a mode acquire the proper
@@ -71,7 +64,7 @@ def expand_from_vectors(
         raise DomainError("one input mode per photon required")
     if n > ORACLE_MAX_PHOTONS:
         raise SizeLimit(f"oracle capped at {ORACLE_MAX_PHOTONS} photons")
-    state = FockState(n_modes=n_modes, internal_dim=d, internal_pol=internal_pol)
+    state = FockState(n_modes=n_modes, internal_dim=d)
     size = n_modes * d
     amps: dict[tuple[int, ...], complex] = {tuple([0] * size): 1.0 + 0.0j}
     for photon in range(n):
@@ -109,22 +102,11 @@ def _multinomial(total: int, parts: tuple[int, ...]) -> int:
     return c
 
 
-def _resolve_blocks(fock: FockState, net) -> list[np.ndarray]:
-    """Per-internal-index network matrices."""
-    if isinstance(net, Network):
-        return [net.matrix] * fock.internal_dim
-    if isinstance(net, dict):
-        if fock.internal_pol is None:
-            raise DomainError("polarisation-blocked network needs a polarisation-tagged state")
-        return [net[tag].matrix for tag in fock.internal_pol]
-    raise DomainError("net must be a Network or a {'H': Network, 'V': Network} mapping")
-
-
-def evolve_amplitudes(fock: FockState, net) -> FockState:
+def evolve_amplitudes(fock: FockState, net: Network) -> FockState:
     """Apply the network to every creation operator and re-collect amplitudes."""
-    blocks = _resolve_blocks(fock, net)
+    u = net.matrix
     m, d = fock.n_modes, fock.internal_dim
-    if blocks[0].shape[0] != m:
+    if u.shape[0] != m:
         raise DomainError("network dimension must match the Fock state's mode count")
     size = m * d
     poly: dict[tuple[int, ...], complex] = {}
@@ -138,7 +120,7 @@ def evolve_amplitudes(fock: FockState, net) -> FockState:
             if count == 0:
                 continue
             j, x = divmod(slot, d)
-            u_col = blocks[x][:, j]
+            u_col = u[:, j]
             expanded: dict[tuple[int, ...], complex] = {}
             for mu in output_occupations(count, m):
                 w = _multinomial(count, mu)
@@ -158,7 +140,7 @@ def evolve_amplitudes(fock: FockState, net) -> FockState:
             partial = expanded
         for key, val in partial.items():
             poly[key] = poly.get(key, 0.0) + val
-    out = FockState(n_modes=m, internal_dim=d, internal_pol=fock.internal_pol)
+    out = FockState(n_modes=m, internal_dim=d)
     amps = {}
     for key, val in poly.items():
         if abs(val) < 1e-300:
@@ -172,7 +154,7 @@ def evolve_amplitudes(fock: FockState, net) -> FockState:
     return out
 
 
-def evolve_and_measure(fock: FockState, net) -> dict[tuple[int, ...], float]:
+def evolve_and_measure(fock: FockState, net: Network) -> dict[tuple[int, ...], float]:
     """Map from spatial output occupation to probability after the network."""
     evolved = evolve_amplitudes(fock, net)
     m, d = evolved.n_modes, evolved.internal_dim

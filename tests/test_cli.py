@@ -51,6 +51,26 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert run(str(tmp_path / "nope.json"), out_dir=str(tmp_path)) == 2
 
+    def test_nan_grid_value_exit_code(self, tmp_path, capsys):
+        cfg = {"mode": "experiment", "grid": {"kind": "triad", "values": [0.5, float("nan")]}}
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 2
+        assert "NaN" in capsys.readouterr().err
+
+    def test_infinite_sigma_exit_code(self, tmp_path, capsys):
+        cfg = dict(IDEAL_TRIAD, preparation={"recipe": "dynamic", "sigma": float("inf")})
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 2
+        assert "Infinity" in capsys.readouterr().err
+        assert not (tmp_path / "demo_series.csv").exists()
+
+    def test_custom_recipe_on_triad_grid(self, tmp_path, capsys):
+        cfg = dict(IDEAL_TRIAD, preparation={"recipe": "custom"})
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 2
+        assert "$.grid.kind" in capsys.readouterr().err
+        assert not (tmp_path / "demo_series.csv").exists()
+
 
 class TestIdealScanRun:
     def test_csv_columns_and_values(self, tmp_path):
@@ -172,6 +192,15 @@ class TestMainEntry:
     def test_validate_command(self, capsys):
         assert main(["validate", "--instances", "3", "--seed", "2"]) == 0
         assert "max deviation" in capsys.readouterr().out
+
+    def test_python_m_package(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "triphoton", "validate", "--instances", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "max deviation" in out.stdout
 
     def test_console_script(self):
         out = subprocess.run(

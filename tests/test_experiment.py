@@ -222,6 +222,17 @@ class TestSimulateCounts:
             total += series
         assert np.allclose(total, 1.0, atol=1e-10)
 
+    def test_near_coincident_delays(self):
+        # A delay this small truncates the temporal basis rank; the photons
+        # must stay unit vectors so that every point still sums to 1.
+        preps = delay_scan_preparations("all_H", [0.0027, 1e-7], 1.07)
+        for net_v in (None, perturbed_tritter()):
+            counts = simulate_counts(
+                preps, SourceParams(), cascade_tritter_1(0.5), balanced_tritter(), net_v
+            )
+            total = sum(counts.series.values())
+            assert np.max(np.abs(total - 1.0)) < 1e-12
+
     def test_threads_do_not_change_results(self):
         taus = [0.0, 2.0, 5.0]
         preps = delay_scan_preparations("static_pi", taus, 1.0)

@@ -10,9 +10,9 @@ from triphoton.interference import (
     Network,
     balanced_beamsplitter,
     balanced_tritter,
+    columns_distribution,
     event_distribution,
     event_probability,
-    event_probability_expansion,
     output_occupations,
     permanent,
     permanent_naive,
@@ -147,16 +147,26 @@ class TestEventProbability:
         p = event_probability(balanced_tritter(), TRITTER_SPEC((1, 2, 0)), g)
         assert p == pytest.approx(expected, abs=1e-14)
 
-    def test_expansion_path_agrees(self):
+    def test_columns_distribution_matches_oracle(self):
+        # Repeated input modes carry one shared internal vector per mode, as
+        # the idlers of one source do.
+        from triphoton.oracle import evolve_and_measure, expand_from_vectors, random_unitary
+
         rng = np.random.default_rng(7)
-        net = balanced_tritter()
-        for _ in range(25):
-            g = random_gram(rng)
-            for occ in output_occupations(3, 3):
-                spec = TRITTER_SPEC(occ)
-                assert event_probability_expansion(net, spec, g) == pytest.approx(
-                    event_probability(net, spec, g), abs=1e-12
-                )
+        for modes in ((0, 1, 2), (0, 0, 1), (1, 1, 1), (0, 0, 2, 2), (2, 0, 2, 1)):
+            net = random_unitary(rng, 3)
+            per_mode = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            per_mode /= np.linalg.norm(per_mode, axis=1, keepdims=True)
+            vectors = per_mode[list(modes)]
+            dist = columns_distribution(
+                net.matrix[:, list(modes)], vectors @ vectors.conj().T, modes
+            )
+            reference = evolve_and_measure(expand_from_vectors(vectors, list(modes), 3), net)
+            assert list(dist) == output_occupations(len(modes), 3)
+            for occ, p in dist.items():
+                assert p == pytest.approx(reference.get(occ, 0.0), abs=1e-12)
+        with pytest.raises(SizeLimit):
+            columns_distribution(np.ones((3, 7)), np.ones((7, 7)), (0,) * 7)
 
     def test_normalisation_over_occupations(self):
         rng = np.random.default_rng(13)

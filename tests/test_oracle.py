@@ -1,9 +1,17 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+from triphoton.experiment import (
+    _PointModel,
+    prepare,
+    theta_for_phase,
+    triad_scan_preparations,
+)
 from triphoton.interference import (
+    Network,
     balanced_beamsplitter,
     balanced_tritter,
 )
@@ -21,9 +29,35 @@ from triphoton.oracle import (
     expand_inputs,
     random_internal_states,
     random_unitary,
+    vectors_from_gram,
 )
 
 T0 = GaussianTemporalMode(0.0, 1.0)
+
+
+def doubled_network(net_h, net_v, pols):
+    """Plain 2m-mode network over (mode, H) then (mode, V) for photons entering at (j, H).
+
+    A 2x2 unitary on ((j, H), (j, V)) sets the polarisation (a, b) of input j,
+    then blockdiag(U_H, U_V) acts.
+    """
+    m = net_h.m
+    prep = np.zeros((2 * m, 2 * m), dtype=complex)
+    for j, (a, b) in enumerate(pols):
+        prep[np.ix_([j, m + j], [j, m + j])] = [[a, -np.conj(b)], [b, np.conj(a)]]
+    blocks = np.zeros((2 * m, 2 * m), dtype=complex)
+    blocks[:m, :m] = net_h.matrix
+    blocks[m:, m:] = net_v.matrix
+    return Network(blocks @ prep)
+
+
+def fold_polarisation(dist, m):
+    """Sum a (mode, H) then (mode, V) distribution onto spatial occupations."""
+    out = {}
+    for occ, p in dist.items():
+        key = tuple(h + v for h, v in zip(occ[:m], occ[m:]))
+        out[key] = out.get(key, 0.0) + p
+    return out
 
 
 def identical_states(n):
@@ -111,7 +145,7 @@ class TestEvolveAndMeasure:
             assert permuted.get(occ, 0.0) == pytest.approx(p, abs=1e-12)
 
     def test_polarisation_blocks_match_plain_path(self):
-        # With U_H == U_V the blocked evolution must reproduce the plain one.
+        # With U_H == U_V the doubled network must reproduce the plain one.
         rng = np.random.default_rng(15)
         net = random_unitary(rng, 3)
         states_eq = [
@@ -119,15 +153,10 @@ class TestEvolveAndMeasure:
             for s in random_internal_states(rng, 3, aux_dim=2)
         ]
         plain = distribution_from_states(states_eq, [0, 1, 2], net)
-        width = 2
-        tagged = []
-        for s in states_eq:
-            rest = np.array(s.aux, dtype=complex)
-            pol = np.array([s.polarization.amplitude_h, s.polarization.amplitude_v])
-            tagged.append(np.kron(pol, rest))
-        tags = ("H",) * width + ("V",) * width
-        fock = expand_from_vectors(np.array(tagged), [0, 1, 2], 3, internal_pol=tags)
-        blocked = evolve_and_measure(fock, {"H": net, "V": net})
+        pols = [(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in states_eq]
+        aux = np.array([s.aux for s in states_eq], dtype=complex)
+        fock = expand_from_vectors(aux, [0, 1, 2], 6)
+        blocked = fold_polarisation(evolve_and_measure(fock, doubled_network(net, net, pols)), 3)
         for occ in set(plain) | set(blocked):
             assert blocked.get(occ, 0.0) == pytest.approx(plain.get(occ, 0.0), abs=1e-12)
 
@@ -147,3 +176,51 @@ class TestVectorsReproduceGram:
 
         v = state_vectors(states)
         assert np.max(np.abs(v @ v.conj().T - g)) < 1e-10
+
+
+def oracle_pair_distribution(states, purity, pairs, net_h, net_v):
+    """Idler distribution of the noisy model's source term ``pairs``, built in the oracle.
+
+    Each source's idlers share one internal vector, temporal x mixedness
+    slot: the common slot 0 with weight p, or the source's own slot 1 + i
+    with weight 1 - p.  Polarisation enters through the doubled network.
+    """
+    temporal = gram_matrix([InternalState(s.temporal) for s in states]).entries
+    rows = vectors_from_gram(temporal)
+    p = 0.5 * (1.0 + math.sqrt(2.0 * purity - 1.0))
+    pols = [(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in states]
+    net = doubled_network(net_h, net_v, pols)
+    sources = [i for i in range(3) if pairs[i]]
+    modes = [i for i in sources for _ in range(pairs[i])]
+    total = {}
+    for combo in product(*([(p, 0), (1.0 - p, 1 + i)] for i in sources)):
+        weight = math.prod(w for w, _ in combo)
+        if weight == 0.0:
+            continue
+        slot = {i: k for i, (_, k) in zip(sources, combo)}
+        vectors = np.array([np.kron(rows[i], np.eye(4)[slot[i]]) for i in modes])
+        fock = expand_from_vectors(vectors, modes, 2 * net_h.m)
+        for occ, q in fold_polarisation(evolve_and_measure(fock, net), net_h.m).items():
+            total[occ] = total.get(occ, 0.0) + weight * q
+    return total
+
+
+class TestPairDistribution:
+    """Every 2-4 idler source term of the noisy model against the oracle."""
+
+    @pytest.mark.parametrize("purity", [0.9, 1.0])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_matches_oracle(self, purity, split):
+        rng = np.random.default_rng(31)
+        net_h = balanced_tritter()
+        net_v = random_unitary(rng, 3) if split else net_h
+        states = prepare(triad_scan_preparations([theta_for_phase(2.0)], 1.0)[0])
+        model = _PointModel(states, purity, "trace", net_h, net_v, split)
+        for pairs in product(range(5), repeat=3):
+            if not 2 <= sum(pairs) <= 4:
+                continue
+            dist = model.pair_distribution(pairs)
+            reference = oracle_pair_distribution(states, purity, pairs, net_h, net_v)
+            assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+            for occ in set(dist) | set(reference):
+                assert dist.get(occ, 0.0) == pytest.approx(reference.get(occ, 0.0), abs=1e-12)
