@@ -4,9 +4,11 @@ Exact event probabilities for a few photons in small linear-optical networks,
 parameterised by the Gram matrix of the photons' internal states; includes
 the collective three-photon phase, a mixed-state extension, a noisy
 heralded-source model with threshold-detector cascades, and an independent
-brute-force Fock-space oracle.  Multi-pair and polarisation-dependent source
-terms go through the permutation-sum engine; the oracle only checks them,
-polarisation dependence through an explicit 2m-mode network.
+brute-force Fock-space oracle.  Ideal scans and the noisy simulation take
+every event probability from one permutation-sum engine,
+``interference.columns_distribution``.  The closed forms, the mixed-state
+trace formulas and the oracle check it; the oracle sees polarisation
+dependence as an explicit 2m-mode network.
 """
 
 __version__ = "0.1.0"

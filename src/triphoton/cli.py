@@ -10,6 +10,7 @@ echoes the fully resolved configuration and is itself a valid configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -42,6 +43,8 @@ from .source import SourceParams
 # The recipes each grid kind scans; any other pairing is a config error.
 GRID_RECIPES = {"delay": ("all_H", "static_pi"), "triad": ("dynamic",)}
 
+VALIDATION_DEFAULTS = {"instances": 100, "seed": 20260810}
+
 _NUMBER = {"type": "number"}
 _MATRIX = {
     "type": "array",
@@ -64,22 +67,13 @@ CONFIG_SCHEMA = {
         "format": {"enum": ["csv", "json"]},
         "output": {"type": "string"},
         "seed": {"type": "integer"},
-        "threads": {"type": "integer", "minimum": 1},
         "preparation": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
                 "recipe": {"enum": ["all_H", "static_pi", "dynamic", "custom"]},
-                "theta": _NUMBER,
-                "delays": {"type": "array", "minItems": 3, "maxItems": 3, "items": _NUMBER},
                 "sigma": {"type": "number", "exclusiveMinimum": 0},
                 "central_frequency": _NUMBER,
-                "polarizations": {
-                    "type": "array",
-                    "minItems": 3,
-                    "maxItems": 3,
-                    "items": {"type": "array", "minItems": 4, "maxItems": 4, "items": _NUMBER},
-                },
             },
         },
         "grid": {
@@ -174,6 +168,14 @@ def load_config(path: str | Path) -> dict:
     return raw
 
 
+def _defaults(cls) -> dict:
+    """The dataclass's field defaults, with tuples as JSON lists."""
+    return {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in dataclasses.fields(cls)
+    }
+
+
 def _resolved(config: dict) -> dict:
     """Configuration with all defaults filled in (round-trips through run())."""
     out = {
@@ -181,7 +183,6 @@ def _resolved(config: dict) -> dict:
         "format": config.get("format", "csv"),
         "output": config.get("output", "run"),
         "seed": config.get("seed", 0),
-        "threads": config.get("threads", 1),
     }
     prep = dict(config.get("preparation", {}))
     prep.setdefault("recipe", "all_H")
@@ -191,30 +192,13 @@ def _resolved(config: dict) -> dict:
     grid = dict(config.get("grid", {}))
     grid.setdefault("kind", "delay" if prep["recipe"] in GRID_RECIPES["delay"] else "triad")
     out["grid"] = grid
-    src = dict(config.get("source", {}))
-    for key, value in (
-        ("squeezing", 0.16),
-        ("purity", 0.9),
-        ("p_noise_idler", 0.035),
-        ("p_noise_signal", 0.009),
-        ("truncation_total_photons", 8),
-        ("truncation_noise_photons", 3),
-        ("herald_efficiency", 0.5),
-        ("purity_model", "trace"),
-    ):
-        src.setdefault(key, value)
-    out["source"] = src
-    casc = dict(config.get("cascade", {}))
-    casc.setdefault("splitters", ["none", "none", "none"])
-    casc.setdefault("detector_efficiency", 0.5)
-    out["cascade"] = casc
+    src = {**_defaults(SourceParams), "purity_model": "trace"}
+    out["source"] = {**src, **config.get("source", {})}
+    out["cascade"] = {**_defaults(DetectionCascade), **config.get("cascade", {})}
     if "tritter" in config:
         out["tritter"] = config["tritter"]
     if "validation" in config or config["mode"] == "validate":
-        val = dict(config.get("validation", {}))
-        val.setdefault("instances", 100)
-        val.setdefault("seed", 20260810)
-        out["validation"] = val
+        out["validation"] = {**VALIDATION_DEFAULTS, **config.get("validation", {})}
     if "qubit" in config:
         q = dict(config["qubit"])
         q.setdefault("tolerance", 0.05)
@@ -285,7 +269,7 @@ def _run_ideal_scan(resolved: dict) -> tuple[ScanResult, list[str]]:
     return result, list(IDEAL_EVENT_ORDER)
 
 
-def _run_experiment(resolved: dict, threads: int) -> tuple[ScanResult, list[str]]:
+def _run_experiment(resolved: dict) -> tuple[ScanResult, list[str]]:
     prep = resolved["preparation"]
     grid = resolved["grid"]
     sigma = prep["sigma"]
@@ -322,20 +306,27 @@ def _run_experiment(resolved: dict, threads: int) -> tuple[ScanResult, list[str]
         x_values=xs,
         x_name=x_name,
         purity_model=purity_model,
-        threads=threads,
     )
     return result, sorted(result.series)
 
 
-def run(config_path: str, out_dir: str | None = None, fmt: str | None = None, threads: int | None = None) -> int:
+def _validate(instances: int, seed: int) -> tuple[dict, int]:
+    """Run the oracle-equivalence report, print its summary line, return it and the exit code."""
+    report = equivalence_report(instances, seed)
+    print(
+        f"validated {report['events_checked']} events over "
+        f"{report['instances']} instances; max deviation {report['max_deviation']:.3e}"
+    )
+    return report, 0 if report["max_deviation"] < 1e-9 else 3
+
+
+def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) -> int:
     """Execute a configuration; returns the process exit code."""
     try:
         config = load_config(config_path)
         resolved = _resolved(config)
         if fmt:
             resolved["format"] = fmt
-        if threads:
-            resolved["threads"] = threads
         directory = Path(out_dir) if out_dir else Path(".")
         directory.mkdir(parents=True, exist_ok=True)
         prefix = resolved["output"]
@@ -350,7 +341,7 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None, th
             if mode == "ideal-scan":
                 result, order = _run_ideal_scan(resolved)
             else:
-                result, order = _run_experiment(resolved, resolved["threads"])
+                result, order = _run_experiment(resolved)
                 extra["truncation_deficit"] = result.metadata.get("truncation_deficit")
                 extra["herald_probability"] = result.metadata.get("herald_probability")
             ext = "csv" if resolved["format"] == "csv" else "json"
@@ -362,14 +353,9 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None, th
 
         if mode == "validate":
             val = resolved["validation"]
-            report = equivalence_report(val["instances"], val["seed"])
-            extra.update(report)
-            _write_metadata(directory / f"{prefix}_metadata.json", resolved, extra)
-            print(
-                f"validated {report['events_checked']} events over "
-                f"{report['instances']} instances; max deviation {report['max_deviation']:.3e}"
-            )
-            return 0 if report["max_deviation"] < 1e-9 else 3
+            report, code = _validate(val["instances"], val["seed"])
+            _write_metadata(directory / f"{prefix}_metadata.json", resolved, report)
+            return code
 
         # qubit-analysis
         if "qubit" not in resolved:
@@ -419,11 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--format", choices=["csv", "json"], default=None)
     p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--threads", type=int, default=None)
 
     p_val = sub.add_parser("validate", help="run the oracle-equivalence suite")
-    p_val.add_argument("--instances", type=int, default=100)
-    p_val.add_argument("--seed", type=int, default=20260810)
+    p_val.add_argument("--instances", type=int, default=VALIDATION_DEFAULTS["instances"])
+    p_val.add_argument("--seed", type=int, default=VALIDATION_DEFAULTS["seed"])
 
     sub.add_parser("version", help="print the library version")
 
@@ -432,13 +417,8 @@ def main(argv: list[str] | None = None) -> int:
         print(__version__)
         return 0
     if args.command == "validate":
-        report = equivalence_report(args.instances, args.seed)
-        print(
-            f"validated {report['events_checked']} events over "
-            f"{report['instances']} instances; max deviation {report['max_deviation']:.3e}"
-        )
-        return 0 if report["max_deviation"] < 1e-9 else 3
-    return run(args.config, args.out_dir, args.format, args.threads)
+        return _validate(args.instances, args.seed)[1]
+    return run(args.config, args.out_dir, args.format)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ emission, noise photons, impurity and detection efficiency.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -24,12 +23,7 @@ from .interference import (
     event_distribution,
     two_photon_marginals_tritter,
 )
-from .mixedstate import (
-    _mixing_weight,
-    build_densities,
-    mixed_event_distribution,
-    temporal_basis,
-)
+from .mixedstate import _mixing_weight, temporal_basis
 from .modes import (
     GaussianTemporalMode,
     InternalState,
@@ -351,11 +345,17 @@ class _PointModel:
         self.net_v = net_v
         self.pol_dependent = pol_dependent
         self.p_common = _mixing_weight(purity, purity_model)
-        basis = temporal_basis(states)
-        self.densities = build_densities(states, purity, model=purity_model, basis=basis)
         # Rank truncation at near-coincident delays leaves rows short of unit norm.
-        rows = basis.coefficients
-        self.temporal_rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = temporal_basis(states).coefficients
+        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        # Overlaps of the sources' pure internal states.  A polarisation-dependent
+        # network carries polarisation in the mode instead (see _column).
+        self.overlaps = rows @ rows.conj().T
+        if not pol_dependent:
+            pols = np.array(
+                [[s.polarization.amplitude_h, s.polarization.amplitude_v] for s in states]
+            )
+            self.overlaps = self.overlaps * (pols @ pols.conj().T)
         self._cache: dict = {}
 
     def _column(self, source: int) -> np.ndarray:
@@ -370,51 +370,36 @@ class _PointModel:
         pol = self.states[source].polarization
         return np.concatenate([pol.amplitude_h * u_h, pol.amplitude_v * u_v])
 
-    def _internal_vector(self, source: int, slot: int) -> np.ndarray:
-        """Internal state of one idler of ``source`` in mixedness ``slot``."""
-        slot_vec = np.eye(4)[slot]
-        temp = self.temporal_rows[source]
-        if self.pol_dependent:
-            return np.kron(temp, slot_vec)
-        pol = self.states[source].polarization
-        return np.kron(temp, np.kron([pol.amplitude_h, pol.amplitude_v], slot_vec))
-
     def _engine_distribution(self, pairs: tuple[int, int, int]) -> dict:
         """Network distribution of the pair idlers via the permutation-sum engine.
 
-        All idlers of one source share one mixedness slot per convex branch,
-        so idlers sharing an input mode share one internal state.
+        Mixedness enters as convex branches: in each, every source puts all its
+        idlers in one slot, the common slot (weight p) or its own slot (weight
+        1 - p), and idlers in different slots are orthogonal.  Idlers sharing an
+        input mode therefore share one internal state.
         """
         participating = [i for i in range(3) if pairs[i] > 0]
         modes = tuple(i for i in participating for _ in range(pairs[i]))
         columns = np.stack([self._column(i) for i in modes], axis=1)
+        overlaps = self.overlaps[np.ix_(modes, modes)]
         p = self.p_common
         branches = [[(1.0, 0)] if p >= 1.0 else [(p, 0), (1.0 - p, 1 + i)] for i in participating]
         total: dict[tuple[int, ...], float] = {}
         for combo in product(*branches):
             weight = math.prod(w for w, _ in combo)
-            slots = {i: slot for i, (_, slot) in zip(participating, combo)}
-            vectors = np.array([self._internal_vector(i, slots[i]) for i in modes])
-            for occ, q in columns_distribution(columns, vectors @ vectors.conj().T, modes).items():
+            slots = np.repeat([slot for _, slot in combo], [pairs[i] for i in participating])
+            gram = overlaps * (slots[:, None] == slots[None, :])
+            for occ, q in columns_distribution(columns, gram, modes).items():
                 if self.pol_dependent:
                     occ = tuple(h + v for h, v in zip(occ[:3], occ[3:]))
                 total[occ] = total.get(occ, 0.0) + weight * q
         return total
 
     def pair_distribution(self, pairs: tuple[int, int, int]) -> dict:
-        if pairs in self._cache:
-            return self._cache[pairs]
-        n = sum(pairs)
-        if n == 0:
-            dist = {(0, 0, 0): 1.0}
-        elif n > 1 and max(pairs) == 1 and not self.pol_dependent:
-            inputs = tuple(i for i in range(3) if pairs[i] == 1)
-            dens = [self.densities[i] for i in inputs]
-            dist = mixed_event_distribution(self.net_h, inputs, dens)
-        else:
-            dist = self._engine_distribution(pairs)
-        self._cache[pairs] = dist
-        return dist
+        if pairs not in self._cache:
+            dist = self._engine_distribution(pairs) if any(pairs) else {(0, 0, 0): 1.0}
+            self._cache[pairs] = dist
+        return self._cache[pairs]
 
 
 def two_photon_marginals_model(
@@ -452,15 +437,14 @@ def simulate_counts(
     x_values=None,
     x_name: str = "index",
     purity_model: str = "trace",
-    threads: int = 1,
 ) -> ScanResult:
     """Heralded click-pattern probabilities of the full experiment model.
 
     For every scan point the heralded source ensemble is pushed through the
-    network.  Terms with one idler from each of two or three sources use the
-    exact mixed-state trace formulas on a polarisation-independent network.
-    Every other term, multi-pair terms included, uses the permutation-sum
-    engine; a polarisation-dependent network enters it by mode doubling.
+    network.  Every source term goes through the permutation-sum engine,
+    with source impurity as convex branches over mixedness slots; a
+    polarisation-dependent network enters it by mode doubling.  The
+    mixed-state trace formulas are the reference the tests check it against.
     Noise photons are folded in by exact convolution, and the occupation
     distribution is converted to threshold-detector click patterns through
     the cascade.  Series are probabilities per triple-heralded trial.
@@ -486,14 +470,9 @@ def simulate_counts(
         "N" + "".join(str(c) for c in pattern): np.zeros(n_points) for pattern in patterns
     }
 
-    def run_point(index: int) -> dict[tuple[int, int, int], float]:
+    for i, prep in enumerate(preparations):
         model = _PointModel(
-            prepare(preparations[index]),
-            source.purity,
-            purity_model,
-            net_h,
-            net_v,
-            pol_dependent,
+            prepare(prep), source.purity, purity_model, net_h, net_v, pol_dependent
         )
         acc: dict[tuple[int, int, int], float] = {}
         noise_cache: dict = {}
@@ -505,14 +484,6 @@ def simulate_counts(
             for occ, p in noise_cache[key].items():
                 for pattern, q in cascade.click_distribution(occ).items():
                     acc[pattern] = acc.get(pattern, 0.0) + term.weight * p * q
-        return acc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_point, range(n_points)))
-    else:
-        results = [run_point(i) for i in range(n_points)]
-    for i, acc in enumerate(results):
         for pattern, value in acc.items():
             series["N" + "".join(str(c) for c in pattern)][i] = value / herald_norm
 

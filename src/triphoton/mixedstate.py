@@ -6,6 +6,10 @@ trace Tr(rho_1 rho_2 rho_3), paired with Hadamard-product permanents of the
 scattering matrix.  Mixedness of heralded photons is modelled on a small
 auxiliary space: a weight-p common mode shared by all photons plus a distinct
 mode per photon, with p fixed by the requested purity.
+
+Production code evaluates every probability with the permutation-sum engine
+of :mod:`triphoton.interference`; these trace formulas are the independent
+reference that the tests check the engine's mixed-state results against.
 """
 
 from __future__ import annotations
@@ -153,7 +157,6 @@ def build_densities(
     purity: float,
     *,
     model: str = "trace",
-    basis: TemporalBasis | None = None,
 ) -> list[InternalDensity]:
     """Internal density matrices for partially pure photons on a shared basis.
 
@@ -162,8 +165,7 @@ def build_densities(
     common to all photons and the |d_i> are mutually orthogonal.  With the
     default ``model="trace"``, p solves p^2 + (1-p)^2 = purity (larger root)
     so that Tr(rho^2) equals the requested purity; ``model="weight"`` uses the
-    purity directly as the common-mode weight.  ``basis`` is the states'
-    :func:`temporal_basis` when the caller has already built it.
+    purity directly as the common-mode weight.
     """
     n = len(states)
     if n < 1:
@@ -174,7 +176,7 @@ def build_densities(
 
     # Row pairing sum_k C[i,k]*conj(C[j,k]) reproduces the temporal overlaps,
     # matching the pairing convention of modes.overlap.
-    temp_rows = (basis or temporal_basis(states)).coefficients
+    temp_rows = temporal_basis(states).coefficients
 
     mix_dim = 1 + n
     out = []

@@ -1,18 +1,35 @@
+import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triphoton.cli import load_config, main, run
+import triphoton
+from triphoton.cli import _resolved, load_config, main, run
 from triphoton.errors import ConfigError
+from triphoton.source import SourceParams
 
 
 def write_config(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def run_module(*args):
+    """``python -m`` in a child that imports the same triphoton package as the tests."""
+    src = str(Path(triphoton.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def read_csv(path):
@@ -70,6 +87,21 @@ class TestConfigValidation:
         assert run(path, out_dir=str(tmp_path)) == 2
         assert "$.grid.kind" in capsys.readouterr().err
         assert not (tmp_path / "demo_series.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("theta", 3.0), ("delays", [9, 9, 9]), ("polarizations", [[1, 0, 0, 0]] * 3)],
+    )
+    def test_unread_preparation_key_rejected(self, tmp_path, capsys, key, value):
+        cfg = dict(IDEAL_TRIAD, preparation={"recipe": "dynamic", key: value})
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 2
+        assert "$.preparation" in capsys.readouterr().err
+        assert not (tmp_path / "demo_series.csv").exists()
+
+    def test_source_defaults_from_source_params(self):
+        source = _resolved({"mode": "experiment"})["source"]
+        assert source == {**dataclasses.asdict(SourceParams()), "purity_model": "trace"}
 
 
 class TestIdealScanRun:
@@ -194,18 +226,10 @@ class TestMainEntry:
         assert "max deviation" in capsys.readouterr().out
 
     def test_python_m_package(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "triphoton", "validate", "--instances", "3"],
-            capture_output=True,
-            text=True,
-        )
+        out = run_module("triphoton", "validate", "--instances", "3")
         assert out.returncode == 0, out.stderr
         assert "max deviation" in out.stdout
 
     def test_console_script(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "triphoton.cli", "version"],
-            capture_output=True,
-            text=True,
-        )
+        out = run_module("triphoton.cli", "version")
         assert out.returncode == 0

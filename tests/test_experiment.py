@@ -22,8 +22,10 @@ from triphoton.experiment import (
     triad_scan_preparations,
     two_photon_marginals_model,
     _mode_click_probs,
+    _PointModel,
 )
 from triphoton.interference import Network, balanced_tritter
+from triphoton.mixedstate import build_densities, mixed_event_distribution
 from triphoton.modes import gram_matrix, overlap, triad_phase
 from triphoton.source import SourceParams
 
@@ -233,14 +235,6 @@ class TestSimulateCounts:
             total = sum(counts.series.values())
             assert np.max(np.abs(total - 1.0)) < 1e-12
 
-    def test_threads_do_not_change_results(self):
-        taus = [0.0, 2.0, 5.0]
-        preps = delay_scan_preparations("static_pi", taus, 1.0)
-        a = simulate_counts(preps, SourceParams(), cascade_none(0.5), x_values=taus)
-        b = simulate_counts(preps, SourceParams(), cascade_none(0.5), x_values=taus, threads=3)
-        for key in a.series:
-            assert np.array_equal(a.series[key], b.series[key])
-
     def test_truncation_metadata(self):
         counts = simulate_counts(
             delay_scan_preparations("all_H", [0.0], 1.0),
@@ -266,6 +260,30 @@ class TestSimulateCounts:
         impure = simulate_counts(preps, impure_source, cascade_beamsplitters_1_3(1.0))
         assert pure.series["N210"][0] == pytest.approx(0.0, abs=1e-12)
         assert impure.series["N210"][0] > 1e-4
+
+
+class TestPointModel:
+    @pytest.mark.parametrize("model", ["trace", "weight"])
+    @pytest.mark.parametrize("purity", [0.9, 1.0])
+    def test_one_idler_terms_match_trace_formula(self, purity, model):
+        preps = (
+            triad_scan_preparations([theta_for_phase(2.0)], 1.0)[0],
+            delay_scan_preparations("static_pi", [1.3], 1.0)[0],
+        )
+        for net in (balanced_tritter(), perturbed_tritter()):
+            for prep in preps:
+                states = prepare(prep)
+                point = _PointModel(states, purity, model, net, net, False)
+                densities = build_densities(states, purity, model=model)
+                for pairs in ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
+                    inputs = tuple(i for i in range(3) if pairs[i])
+                    reference = mixed_event_distribution(
+                        net, inputs, [densities[i] for i in inputs]
+                    )
+                    dist = point.pair_distribution(pairs)
+                    assert dist.keys() == reference.keys()
+                    for occ, p in reference.items():
+                        assert dist[occ] == pytest.approx(p, abs=1e-12)
 
 
 class TestPolarizationDependence:

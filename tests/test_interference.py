@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triphoton.errors import DomainError, SizeLimit
 from triphoton.interference import (
@@ -32,6 +34,29 @@ def random_gram(rng, n=3, rank=None):
     g = g / np.outer(d, d)
     np.fill_diagonal(g, 1.0)
     return GramMatrix(g)
+
+
+def complex_matrices(rows, cols):
+    """Matrices with real and imaginary parts in [-1, 1]."""
+    size = rows * cols
+    return st.lists(st.floats(-1.0, 1.0), min_size=2 * size, max_size=2 * size).map(
+        lambda xs: (np.array(xs[:size]) + 1j * np.array(xs[size:])).reshape(rows, cols)
+    )
+
+
+@st.composite
+def network_instances(draw):
+    """A random unitary network, distinct inputs, a Gram matrix and gauge phases."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(max(n, 2), 4))
+    q, _ = np.linalg.qr(draw(complex_matrices(m, m)))  # Householder Q is always unitary
+    inputs = tuple(draw(st.permutations(range(m)))[:n])
+    vectors = draw(complex_matrices(n, n)) + 2.0 * np.eye(n)  # rows stay nonzero
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    g = vectors @ vectors.conj().T
+    np.fill_diagonal(g, 1.0)
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
+    return Network(q), inputs, GramMatrix(g), np.exp(1j * np.array(phases))
 
 
 def gram_with_phases(moduli, phases):
@@ -101,14 +126,9 @@ class TestEventSpec:
             EventSpec((0, 3), (1, 1, 0))
 
     def test_size_limit(self):
-        net = Network(np.eye(6, dtype=complex))
+        net = Network(np.eye(7, dtype=complex))
         with pytest.raises(SizeLimit):
-            event_probability(
-                net,
-                EventSpec(tuple(range(6)), (1,) * 6),
-                np.eye(6, dtype=complex),
-                max_photons=5,
-            )
+            event_probability(net, EventSpec(tuple(range(7)), (1,) * 7), np.eye(7))
 
 
 class TestEventProbability:
@@ -189,6 +209,16 @@ class TestEventProbability:
                 assert event_probability(net, TRITTER_SPEC(occ), g2) == pytest.approx(
                     event_probability(net, TRITTER_SPEC(occ), g), abs=1e-12
                 )
+
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(network_instances())
+    def test_distribution_normalised_and_gauge_invariant(self, instance):
+        net, inputs, g, d = instance
+        dist = event_distribution(net, inputs, g)
+        assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-10)
+        rephased = event_distribution(net, inputs, np.outer(d, np.conj(d)) * g.entries)
+        for occ, p in dist.items():
+            assert rephased[occ] == pytest.approx(p, abs=1e-12)
 
     def test_monotone_limits(self):
         rng = np.random.default_rng(19)
