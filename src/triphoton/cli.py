@@ -394,6 +394,14 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
         return 2
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1, as in the config schema."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="triphoton",
@@ -407,7 +415,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out-dir", default=None)
 
     p_val = sub.add_parser("validate", help="run the oracle-equivalence suite")
-    p_val.add_argument("--instances", type=int, default=VALIDATION_DEFAULTS["instances"])
+    p_val.add_argument(
+        "--instances", type=_positive_int, default=VALIDATION_DEFAULTS["instances"]
+    )
     p_val.add_argument("--seed", type=int, default=VALIDATION_DEFAULTS["seed"])
 
     sub.add_parser("version", help="print the library version")

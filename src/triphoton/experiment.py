@@ -21,9 +21,11 @@ from .interference import (
     balanced_tritter,
     columns_distribution,
     event_distribution,
+    occupation_index,
+    output_occupations,
     two_photon_marginals_tritter,
 )
-from .mixedstate import _mixing_weight, temporal_basis
+from .mixedstate import _mixing_weight, temporal_rows
 from .modes import (
     GaussianTemporalMode,
     InternalState,
@@ -31,6 +33,7 @@ from .modes import (
     gram_matrix,
 )
 from .source import (
+    HeraldedTerm,
     SourceParams,
     enumerate_terms,
     heralded_ensemble,
@@ -304,28 +307,76 @@ def _mode_click_probs(n: int, leaves: int, eta: float) -> tuple[float, ...]:
     return tuple(probs)
 
 
-def _convolve_noise(
-    dist: dict[tuple[int, ...], float],
-    noise_idlers: tuple[int, int, int],
-    net_h: Network,
-    net_v: Network,
-) -> dict[tuple[int, ...], float]:
-    """Fold in noise photons, which scatter independently of everything else."""
+def _cascade_matrix(cascade: DetectionCascade, n: int) -> np.ndarray:
+    """Click-pattern probabilities (patterns x occupations of n photons)."""
+    rows = {pattern: r for r, pattern in enumerate(cascade.patterns())}
+    occupations = occupation_index(n, 3)
+    out = np.zeros((len(rows), len(occupations)))
+    for occ, col in occupations.items():
+        for pattern, q in cascade.click_distribution(occ).items():
+            out[rows[pattern], col] = q
+    return out
+
+
+def _noise_map(
+    noise_idlers: tuple[int, int, int], n: int, net_h: Network, net_v: Network
+) -> np.ndarray:
+    """Occupations of n photons -> occupations of n + sum(noise_idlers).
+
+    Noise photons scatter independently of everything else and are
+    unpolarised: one entering input j leaves output k with probability
+    (|U_H[k, j]|^2 + |U_V[k, j]|^2) / 2.
+    """
+    source = occupation_index(n, 3)
+    out = np.eye(len(source))
     for mode, count in enumerate(noise_idlers):
-        if count == 0:
-            continue
-        # Unpolarised noise: average of the two polarisation blocks.
         q = 0.5 * (np.abs(net_h.matrix[:, mode]) ** 2 + np.abs(net_v.matrix[:, mode]) ** 2)
         for _ in range(count):
-            new: dict[tuple[int, ...], float] = {}
-            for occ, p in dist.items():
+            n += 1
+            target = occupation_index(n, 3)
+            shift = np.zeros((len(target), len(source)))
+            for occ, col in source.items():
                 for k in range(3):
                     lifted = list(occ)
                     lifted[k] += 1
-                    key = tuple(lifted)
-                    new[key] = new.get(key, 0.0) + p * float(q[k])
-            dist = new
-    return dist
+                    shift[target[tuple(lifted)], col] += q[k]
+            out = shift @ out
+            source = target
+    return out
+
+
+def _click_maps(
+    heralded: list[HeraldedTerm], cascade: DetectionCascade, net_h: Network, net_v: Network
+) -> dict[tuple[int, int, int], np.ndarray]:
+    """Weighted click-pattern map of every pair configuration, summed over its noise terms.
+
+    ``maps[pairs] = sum_terms weight * C[n + k] @ noise_map``: applied to the
+    pair idlers' occupation distribution it gives that configuration's share
+    of the click-pattern probabilities.  Nothing here depends on the scan point.
+    """
+    cascades: dict[int, np.ndarray] = {}
+    maps: dict[tuple[int, int, int], np.ndarray] = {}
+    for term in heralded:
+        n = sum(term.pair_idlers)
+        total = n + sum(term.noise_idlers)
+        if total not in cascades:
+            cascades[total] = _cascade_matrix(cascade, total)
+        noise = _noise_map(term.noise_idlers, n, net_h, net_v)
+        weighted = term.weight * (cascades[total] @ noise)
+        maps[term.pair_idlers] = maps.get(term.pair_idlers, 0.0) + weighted
+    return maps
+
+
+@lru_cache(maxsize=None)
+def _fold_matrix(n: int) -> np.ndarray:
+    """0/1 map from occupations of n photons over (output, H) then (output, V) to outputs."""
+    target = occupation_index(n, 3)
+    occupations = output_occupations(n, 6)
+    fold = np.zeros((len(target), len(occupations)))
+    for col, occ in enumerate(occupations):
+        fold[target[tuple(h + v for h, v in zip(occ[:3], occ[3:]))], col] = 1.0
+    fold.flags.writeable = False
+    return fold
 
 
 class _PointModel:
@@ -345,9 +396,7 @@ class _PointModel:
         self.net_v = net_v
         self.pol_dependent = pol_dependent
         self.p_common = _mixing_weight(purity, purity_model)
-        # Rank truncation at near-coincident delays leaves rows short of unit norm.
-        rows = temporal_basis(states).coefficients
-        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = temporal_rows(states)
         # Overlaps of the sources' pure internal states.  A polarisation-dependent
         # network carries polarisation in the mode instead (see _column).
         self.overlaps = rows @ rows.conj().T
@@ -356,7 +405,6 @@ class _PointModel:
                 [[s.polarization.amplitude_h, s.polarization.amplitude_v] for s in states]
             )
             self.overlaps = self.overlaps * (pols @ pols.conj().T)
-        self._cache: dict = {}
 
     def _column(self, source: int) -> np.ndarray:
         """Output amplitudes of one idler of ``source``.
@@ -370,36 +418,30 @@ class _PointModel:
         pol = self.states[source].polarization
         return np.concatenate([pol.amplitude_h * u_h, pol.amplitude_v * u_v])
 
-    def _engine_distribution(self, pairs: tuple[int, int, int]) -> dict:
-        """Network distribution of the pair idlers via the permutation-sum engine.
+    def pair_distribution(self, pairs: tuple[int, int, int]) -> np.ndarray:
+        """Output distribution of the pair idlers over output_occupations(sum(pairs), 3).
 
-        Mixedness enters as convex branches: in each, every source puts all its
-        idlers in one slot, the common slot (weight p) or its own slot (weight
-        1 - p), and idlers in different slots are orthogonal.  Idlers sharing an
-        input mode therefore share one internal state.
+        Computed by the permutation-sum engine.  Mixedness enters as convex
+        branches: in each, every source puts all its idlers in one slot, the
+        common slot (weight p) or its own slot (weight 1 - p), and idlers in
+        different slots are orthogonal.  Idlers sharing an input mode
+        therefore share one internal state.
         """
+        if not any(pairs):
+            return np.ones(1)
         participating = [i for i in range(3) if pairs[i] > 0]
         modes = tuple(i for i in participating for _ in range(pairs[i]))
         columns = np.stack([self._column(i) for i in modes], axis=1)
         overlaps = self.overlaps[np.ix_(modes, modes)]
         p = self.p_common
         branches = [[(1.0, 0)] if p >= 1.0 else [(p, 0), (1.0 - p, 1 + i)] for i in participating]
-        total: dict[tuple[int, ...], float] = {}
+        total = 0.0
         for combo in product(*branches):
             weight = math.prod(w for w, _ in combo)
             slots = np.repeat([slot for _, slot in combo], [pairs[i] for i in participating])
             gram = overlaps * (slots[:, None] == slots[None, :])
-            for occ, q in columns_distribution(columns, gram, modes).items():
-                if self.pol_dependent:
-                    occ = tuple(h + v for h, v in zip(occ[:3], occ[3:]))
-                total[occ] = total.get(occ, 0.0) + weight * q
-        return total
-
-    def pair_distribution(self, pairs: tuple[int, int, int]) -> dict:
-        if pairs not in self._cache:
-            dist = self._engine_distribution(pairs) if any(pairs) else {(0, 0, 0): 1.0}
-            self._cache[pairs] = dist
-        return self._cache[pairs]
+            total = total + weight * columns_distribution(columns, gram, modes)
+        return _fold_matrix(len(modes)) @ total if self.pol_dependent else total
 
 
 def two_photon_marginals_model(
@@ -422,8 +464,7 @@ def two_photon_marginals_model(
     model = _PointModel(prepare(prep), purity, purity_model, net_h, net_v, pol_dependent)
     out = {}
     for name, pairs in (("P011", (0, 1, 1)), ("P101", (1, 0, 1)), ("P110", (1, 1, 0))):
-        dist = model.pair_distribution(pairs)
-        out[name] = dist.get(pairs, 0.0)
+        out[name] = float(model.pair_distribution(pairs)[occupation_index(2, 3)[pairs]])
     return out
 
 
@@ -440,14 +481,18 @@ def simulate_counts(
 ) -> ScanResult:
     """Heralded click-pattern probabilities of the full experiment model.
 
-    For every scan point the heralded source ensemble is pushed through the
-    network.  Every source term goes through the permutation-sum engine,
-    with source impurity as convex branches over mixedness slots; a
-    polarisation-dependent network enters it by mode doubling.  The
-    mixed-state trace formulas are the reference the tests check it against.
-    Noise photons are folded in by exact convolution, and the occupation
-    distribution is converted to threshold-detector click patterns through
-    the cascade.  Series are probabilities per triple-heralded trial.
+    The model is a chain of linear maps on occupation distributions over the
+    three outputs.  The noise and detection part does not depend on the scan
+    point and is built once per run: a cascade matrix (click patterns x
+    occupations) for every photon total, a shift matrix per unpolarised
+    noise photon, and from them one weighted click-pattern matrix per
+    distinct pair-idler configuration, summed over its heralded terms.  At
+    every point the permutation-sum engine gives each configuration's pair
+    idlers as a dense distribution, with source impurity as convex branches
+    over mixedness slots and a polarisation-dependent network by mode
+    doubling; the click patterns are the sum of matrix-vector products.  The
+    mixed-state trace formulas are the reference the tests check the engine
+    against.  Series are probabilities per triple-heralded trial.
     """
     if isinstance(preparations, Preparation):
         preparations = [preparations]
@@ -470,22 +515,14 @@ def simulate_counts(
         "N" + "".join(str(c) for c in pattern): np.zeros(n_points) for pattern in patterns
     }
 
+    maps = _click_maps(heralded, cascade, net_h, net_v)
     for i, prep in enumerate(preparations):
         model = _PointModel(
             prepare(prep), source.purity, purity_model, net_h, net_v, pol_dependent
         )
-        acc: dict[tuple[int, int, int], float] = {}
-        noise_cache: dict = {}
-        for term in heralded:
-            key = (term.pair_idlers, term.noise_idlers)
-            if key not in noise_cache:
-                dist = model.pair_distribution(term.pair_idlers)
-                noise_cache[key] = _convolve_noise(dist, term.noise_idlers, net_h, net_v)
-            for occ, p in noise_cache[key].items():
-                for pattern, q in cascade.click_distribution(occ).items():
-                    acc[pattern] = acc.get(pattern, 0.0) + term.weight * p * q
-        for pattern, value in acc.items():
-            series["N" + "".join(str(c) for c in pattern)][i] = value / herald_norm
+        counts = sum(m @ model.pair_distribution(pairs) for pairs, m in maps.items())
+        for name, value in zip(series, counts / herald_norm):
+            series[name][i] = value
 
     xs = (
         np.asarray(list(x_values), dtype=float)

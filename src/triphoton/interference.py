@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,12 +170,15 @@ def _occupation_factor(occupation: tuple[int, ...]) -> float:
     return f
 
 
-def _finalize_probability(raw: complex) -> float:
-    if abs(raw.imag) >= 1e-8:
-        raise NumericalInconsistency(f"imaginary residue {raw.imag:.3e} in a probability")
+def _finalize_probabilities(raw: np.ndarray) -> np.ndarray:
+    """Real parts of ``raw``, checked for imaginary residues and out-of-band values."""
+    worst = np.abs(raw.imag).argmax()
+    if abs(raw.imag[worst]) >= 1e-8:
+        raise NumericalInconsistency(f"imaginary residue {raw.imag[worst]:.3e} in a probability")
     p = raw.real
-    if p < -1e-10 or p > 1.0 + 1e-10:
-        raise NumericalInconsistency(f"probability {p!r} outside [0, 1] tolerance band")
+    if p.min() < -1e-10 or p.max() > 1.0 + 1e-10:
+        bad = p[(p < -1e-10) | (p > 1.0 + 1e-10)][0]
+        raise NumericalInconsistency(f"probability {float(bad)!r} outside [0, 1] tolerance band")
     return p
 
 
@@ -193,8 +197,8 @@ def event_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Probabilities of every output occupation, one photon per listed input mode.
 
-    Front end of :func:`columns_distribution` on the inputs' columns of the
-    network matrix.
+    Dict front end of :func:`columns_distribution` on the inputs' columns of
+    the network matrix.
     """
     modes = tuple(int(i) for i in input_modes)
     if len(modes) < 1:
@@ -203,17 +207,50 @@ def event_distribution(
         raise DomainError("input modes must be distinct (one photon per input)")
     if any(i < 0 or i >= net.m for i in modes):
         raise DomainError("input mode index out of range")
-    return columns_distribution(net.matrix[:, modes], g, modes)
+    probabilities = columns_distribution(net.matrix[:, modes], g, modes)
+    return dict(zip(_occupations(len(modes), net.m), probabilities.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _occupations(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Immutable :func:`output_occupations`, the one source of the occupation order."""
+    return tuple(output_occupations(n, m))
+
+
+def occupation_index(n: int, m: int) -> dict[tuple[int, ...], int]:
+    """Position of every occupation of n photons over m outputs in :func:`output_occupations`."""
+    return {occ: i for i, occ in enumerate(_occupations(n, m))}
+
+
+@lru_cache(maxsize=None)
+def _sum_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Immutable tables of the n-photon sum over m outputs.
+
+    Per photon k, the index photon k takes under every permutation of the n
+    photons (n x n!) and its output row in every occupation (n x
+    occupations); and the occupations' factorial products.
+    """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).T.copy()
+    occupations = _occupations(n, m)
+    rows = np.array(
+        [[j for j, sj in enumerate(occ) for _ in range(sj)] for occ in occupations], dtype=np.intp
+    ).T.copy()
+    factors = np.array([_occupation_factor(occ) for occ in occupations])
+    for table in (perms, rows, factors):
+        table.flags.writeable = False
+    return perms, rows, factors
 
 
 def columns_distribution(
     columns: np.ndarray, g, input_modes: tuple[int, ...]
-) -> dict[tuple[int, ...], float]:
+) -> np.ndarray:
     """Probabilities of every output occupation; ``columns[k, i]`` takes photon i to output k.
 
-    ``input_modes[i]`` is photon i's input mode.  Photons sharing a mode must
-    share one internal state, so the input norm is prod_j r_j! over the mode
-    occupations r_j.  The S-product table is built once for all occupations.
+    Returned in :func:`output_occupations` order over ``columns.shape[0]``
+    outputs.  ``input_modes[i]`` is photon i's input mode.  Photons sharing a
+    mode must share one internal state, so the input norm is prod_j r_j! over
+    the mode occupations r_j.  The S-product table is built once for all
+    occupations.
     """
     cols = np.asarray(columns, dtype=complex)
     n = cols.shape[1]
@@ -222,20 +259,18 @@ def columns_distribution(
     s = _gram_entries(g)
     if s.shape[0] != n or len(input_modes) != n:
         raise DomainError("Gram matrix and input modes must match the photon number")
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    # sprod[a, b] = prod_k S[perm_a(k), perm_b(k)]
-    sprod = s[perms[:, None, :], perms[None, :, :]].prod(axis=2)
-    occupations = output_occupations(n, cols.shape[0])
-    rows = np.array([[j for j, sj in enumerate(occ) for _ in range(sj)] for occ in occupations])
-    # amps[o, a] = prod_k columns[rows[o, k], perm_a(k)]
-    amps = cols[rows[:, None, :], perms[None, :, :]].prod(axis=2)
+    perms, rows, factors = _sum_tables(n, cols.shape[0])
+    # sprod[a, b] = prod_k S[perm_a(k), perm_b(k)] and
+    # amps[o, a] = prod_k columns[rows[o, k], perm_a(k)], one factor per photon k.
+    sprod = s.take(perms[0], 0).take(perms[0], 1)
+    amps = cols.take(rows[0], 0).take(perms[0], 1)
+    for k in range(1, n):
+        sprod *= s.take(perms[k], 0).take(perms[k], 1)
+        amps *= cols.take(rows[k], 0).take(perms[k], 1)
     # One matrix product: einsum's unoptimised triple loop is 35x slower at 6 photons.
-    raw = np.sum((amps @ sprod) * np.conj(amps), axis=1)
+    raw = ((amps @ sprod) * amps.conj()).sum(axis=1)
     input_factor = _occupation_factor(tuple(input_modes.count(j) for j in set(input_modes)))
-    return {
-        occ: _finalize_probability(complex(value) / (_occupation_factor(occ) * input_factor))
-        for occ, value in zip(occupations, raw)
-    }
+    return _finalize_probabilities(raw / (factors * input_factor))
 
 
 def _check_moduli(r12: float, r23: float, r31: float) -> None:

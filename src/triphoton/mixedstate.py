@@ -152,6 +152,16 @@ def temporal_basis(states: list[InternalState]) -> TemporalBasis:
     return gram_schmidt_temporal(t_gram)
 
 
+def temporal_rows(states: list[InternalState]) -> np.ndarray:
+    """Unit-norm rows of :func:`temporal_basis`, one per state.
+
+    Rank truncation at near-coincident delays leaves the basis rows up to
+    1e-10 short of unit norm; every photon is a unit vector.
+    """
+    rows = temporal_basis(states).coefficients
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def build_densities(
     states: list[InternalState],
     purity: float,
@@ -176,7 +186,7 @@ def build_densities(
 
     # Row pairing sum_k C[i,k]*conj(C[j,k]) reproduces the temporal overlaps,
     # matching the pairing convention of modes.overlap.
-    temp_rows = temporal_basis(states).coefficients
+    temp_rows = temporal_rows(states)
 
     mix_dim = 1 + n
     out = []

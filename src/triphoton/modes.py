@@ -204,11 +204,11 @@ class GramMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DomainError("Gram matrix must be square and nonempty")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        if np.abs(m - m.conj().T).max() > 1e-12:
             raise DomainError("Gram matrix must be Hermitian within 1e-12")
-        if np.max(np.abs(np.diag(m) - 1.0)) > 1e-12:
+        if np.abs(m.diagonal() - 1.0).max() > 1e-12:
             raise DomainError("Gram matrix diagonal must equal 1 within 1e-12")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-9:
+        if np.linalg.eigvalsh(m).min() < -1e-9:
             raise DomainError("Gram matrix must be positive semi-definite (eigenvalues >= -1e-9)")
         m = m.copy()
         m.flags.writeable = False

@@ -225,6 +225,15 @@ class TestMainEntry:
         assert main(["validate", "--instances", "3", "--seed", "2"]) == 0
         assert "max deviation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("instances", ["-3", "0"])
+    def test_validate_rejects_instances_below_one(self, capsys, instances):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--instances", instances])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err
+        assert "validated" not in captured.out
+
     def test_python_m_package(self):
         out = run_module("triphoton", "validate", "--instances", "3")
         assert out.returncode == 0, out.stderr

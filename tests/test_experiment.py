@@ -21,13 +21,15 @@ from triphoton.experiment import (
     theta_for_phase,
     triad_scan_preparations,
     two_photon_marginals_model,
+    _cascade_matrix,
     _mode_click_probs,
+    _noise_map,
     _PointModel,
 )
-from triphoton.interference import Network, balanced_tritter
+from triphoton.interference import Network, balanced_tritter, output_occupations
 from triphoton.mixedstate import build_densities, mixed_event_distribution
 from triphoton.modes import gram_matrix, overlap, triad_phase
-from triphoton.source import SourceParams
+from triphoton.source import SourceParams, enumerate_terms, heralded_ensemble
 
 IDEAL_SOURCE = SourceParams(
     squeezing=0.16,
@@ -262,6 +264,96 @@ class TestSimulateCounts:
         assert impure.series["N210"][0] > 1e-4
 
 
+# Two idler noise photons reach a heralded term only with a signal noise
+# photon beside them: a budget of 7 photons, 3 of them noise.
+SMALL_SOURCES = (
+    SourceParams(truncation_total_photons=6, truncation_noise_photons=2),
+    SourceParams(truncation_total_photons=7, truncation_noise_photons=3),
+)
+
+
+def convolve_noise(dist, noise_idlers, net_h, net_v):
+    """Add unpolarised noise photons to an occupation distribution, one at a time."""
+    for mode, count in enumerate(noise_idlers):
+        q = 0.5 * (np.abs(net_h.matrix[:, mode]) ** 2 + np.abs(net_v.matrix[:, mode]) ** 2)
+        for _ in range(count):
+            lifted = {}
+            for occ, p in dist.items():
+                for k in range(3):
+                    key = tuple(s + (j == k) for j, s in enumerate(occ))
+                    lifted[key] = lifted.get(key, 0.0) + p * q[k]
+            dist = lifted
+    return dist
+
+
+def per_term_counts(preps, source, cascade, net_h, net_v):
+    """Click patterns by the per-term path: every heralded term's pair
+    distribution, convolved photon by photon with its noise photons, then
+    pushed occupation by occupation through the cascade."""
+    heralded = heralded_ensemble(enumerate_terms(source), source.herald_efficiency)
+    norm = math.fsum(t.weight for t in heralded)
+    pol_dependent = not np.allclose(net_h.matrix, net_v.matrix, atol=1e-14)
+    out = []
+    for prep in preps:
+        model = _PointModel(prepare(prep), source.purity, "trace", net_h, net_v, pol_dependent)
+        acc = {}
+        for term in heralded:
+            n = sum(term.pair_idlers)
+            dist = dict(zip(output_occupations(n, 3), model.pair_distribution(term.pair_idlers)))
+            dist = convolve_noise(dist, term.noise_idlers, net_h, net_v)
+            for occ, p in dist.items():
+                for pattern, q in cascade.click_distribution(occ).items():
+                    acc[pattern] = acc.get(pattern, 0.0) + term.weight * p * q
+        out.append({pattern: value / norm for pattern, value in acc.items()})
+    return out
+
+
+class TestRunLevelMaps:
+    @pytest.mark.parametrize("source", SMALL_SOURCES)
+    @pytest.mark.parametrize("cascade", [cascade_beamsplitters_1_3(0.6), cascade_tritter_1(0.5)])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_matches_per_term_path(self, cascade, split, source):
+        net_h = balanced_tritter()
+        net_v = perturbed_tritter() if split else net_h
+        preps = triad_scan_preparations([theta_for_phase(0.7), theta_for_phase(3.5)], 1.0)
+        preps += delay_scan_preparations("static_pi", [1.3], 1.0)
+        counts = simulate_counts(preps, source, cascade, net_h, net_v)
+        reference = per_term_counts(preps, source, cascade, net_h, net_v)
+        for i, expected in enumerate(reference):
+            for pattern in cascade.patterns():
+                name = "N" + "".join(str(c) for c in pattern)
+                assert counts.series[name][i] == pytest.approx(
+                    expected.get(pattern, 0.0), abs=1e-12
+                )
+
+    def test_cascade_columns_normalised(self):
+        for cascade in (cascade_none(0.7), cascade_beamsplitters_1_3(0.6), cascade_tritter_1(0.5)):
+            for n in range(7):
+                matrix = _cascade_matrix(cascade, n)
+                assert matrix.shape == (len(cascade.patterns()), len(output_occupations(n, 3)))
+                assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) < 1e-12
+
+    def test_noise_map_matches_convolution(self):
+        # Heralded terms carry every placement of their noise photons with
+        # the same weight, which averages the output probabilities over the
+        # inputs; each map on its own must still follow its input modes.
+        rng = np.random.default_rng(11)
+        net_h, net_v = balanced_tritter(), perturbed_tritter()
+        for noise in itertools.product(range(3), repeat=3):
+            if sum(noise) > 2:
+                continue
+            for n in range(5):
+                matrix = _noise_map(noise, n, net_h, net_v)
+                assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) < 1e-12
+                occupations = output_occupations(n, 3)
+                dist = rng.dirichlet(np.ones(len(occupations)))
+                reference = convolve_noise(dict(zip(occupations, dist)), noise, net_h, net_v)
+                lifted = dict(zip(output_occupations(n + sum(noise), 3), matrix @ dist))
+                assert lifted.keys() == reference.keys()
+                for occ, p in reference.items():
+                    assert lifted[occ] == pytest.approx(p, abs=1e-12)
+
+
 class TestPointModel:
     @pytest.mark.parametrize("model", ["trace", "weight"])
     @pytest.mark.parametrize("purity", [0.9, 1.0])
@@ -269,6 +361,7 @@ class TestPointModel:
         preps = (
             triad_scan_preparations([theta_for_phase(2.0)], 1.0)[0],
             delay_scan_preparations("static_pi", [1.3], 1.0)[0],
+            delay_scan_preparations("all_H", [0.0027 * 1.07], 1.07)[0],
         )
         for net in (balanced_tritter(), perturbed_tritter()):
             for prep in preps:
@@ -281,9 +374,10 @@ class TestPointModel:
                         net, inputs, [densities[i] for i in inputs]
                     )
                     dist = point.pair_distribution(pairs)
-                    assert dist.keys() == reference.keys()
-                    for occ, p in reference.items():
-                        assert dist[occ] == pytest.approx(p, abs=1e-12)
+                    assert list(reference) == output_occupations(len(inputs), 3)
+                    assert len(dist) == len(reference)
+                    for q, p in zip(dist, reference.values()):
+                        assert q == pytest.approx(p, abs=1e-12)
 
 
 class TestPolarizationDependence:

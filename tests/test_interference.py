@@ -15,6 +15,9 @@ from triphoton.interference import (
     columns_distribution,
     event_distribution,
     event_probability,
+    _occupations,
+    _sum_tables,
+    occupation_index,
     output_occupations,
     permanent,
     permanent_naive,
@@ -126,9 +129,15 @@ class TestEventSpec:
             EventSpec((0, 3), (1, 1, 0))
 
     def test_size_limit(self):
-        net = Network(np.eye(7, dtype=complex))
-        with pytest.raises(SizeLimit):
-            event_probability(net, EventSpec(tuple(range(7)), (1,) * 7), np.eye(7))
+        # The cap must come before any table: 12 photons would need 12! permutations.
+        built = (_sum_tables.cache_info().currsize, _occupations.cache_info().currsize)
+        for n in (7, 12):
+            net = Network(np.eye(n, dtype=complex))
+            with pytest.raises(SizeLimit):
+                event_probability(net, EventSpec(tuple(range(n)), (1,) * n), np.eye(n))
+            with pytest.raises(SizeLimit):
+                event_distribution(net, tuple(range(n)), np.eye(n))
+            assert (_sum_tables.cache_info().currsize, _occupations.cache_info().currsize) == built
 
 
 class TestEventProbability:
@@ -173,7 +182,15 @@ class TestEventProbability:
         from triphoton.oracle import evolve_and_measure, expand_from_vectors, random_unitary
 
         rng = np.random.default_rng(7)
-        for modes in ((0, 1, 2), (0, 0, 1), (1, 1, 1), (0, 0, 2, 2), (2, 0, 2, 1)):
+        for modes in (
+            (0, 1, 2),
+            (0, 0, 1),
+            (1, 1, 1),
+            (0, 0, 2, 2),
+            (2, 0, 2, 1),
+            (0, 0, 1, 2, 2),
+            (0, 0, 1, 1, 2, 2),
+        ):
             net = random_unitary(rng, 3)
             per_mode = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             per_mode /= np.linalg.norm(per_mode, axis=1, keepdims=True)
@@ -182,11 +199,20 @@ class TestEventProbability:
                 net.matrix[:, list(modes)], vectors @ vectors.conj().T, modes
             )
             reference = evolve_and_measure(expand_from_vectors(vectors, list(modes), 3), net)
-            assert list(dist) == output_occupations(len(modes), 3)
-            for occ, p in dist.items():
+            occupations = output_occupations(len(modes), 3)
+            assert dist.shape == (len(occupations),)
+            for occ, p in zip(occupations, dist):
                 assert p == pytest.approx(reference.get(occ, 0.0), abs=1e-12)
         with pytest.raises(SizeLimit):
             columns_distribution(np.ones((3, 7)), np.ones((7, 7)), (0,) * 7)
+
+    def test_occupation_index_follows_output_occupations(self):
+        for n, m in ((0, 3), (2, 3), (4, 3), (3, 6)):
+            index = occupation_index(n, m)
+            assert list(index) == output_occupations(n, m)
+            assert list(index.values()) == list(range(len(index)))
+            index.clear()
+            assert len(occupation_index(n, m)) == len(output_occupations(n, m))
 
     def test_normalisation_over_occupations(self):
         rng = np.random.default_rng(13)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from triphoton.errors import DomainError
-from triphoton.experiment import Preparation, prepare
+from triphoton.experiment import Preparation, delay_scan_preparations, prepare
 from triphoton.interference import EventSpec, balanced_tritter, event_probability, output_occupations
 from triphoton.mixedstate import (
     InternalDensity,
@@ -120,6 +120,16 @@ class TestBuildDensity:
         rho = build_density(state, 0.9, model="weight")
         # common-mode weight used directly: Tr rho^2 = p^2 + (1-p)^2
         assert rho.purity() == pytest.approx(0.9**2 + 0.1**2, abs=1e-12)
+
+    @pytest.mark.parametrize("recipe", ["all_H", "static_pi"])
+    def test_unit_trace_at_near_coincident_delays(self, recipe):
+        # Rank truncation of the temporal basis leaves its rows short of unit
+        # norm here; the densities must still have unit trace.
+        sigma = 1.07
+        for fraction in (0.0027, 1e-3, 1e-7):
+            preps = delay_scan_preparations(recipe, [fraction * sigma], sigma)
+            for rho in build_densities(prepare(preps[0]), 0.9):
+                assert abs(np.trace(rho.matrix) - 1.0) < 1e-14
 
     def test_aux_states_rejected(self):
         from triphoton.modes import GaussianTemporalMode, InternalState

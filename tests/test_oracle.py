@@ -14,6 +14,7 @@ from triphoton.interference import (
     Network,
     balanced_beamsplitter,
     balanced_tritter,
+    output_occupations,
 )
 from triphoton.modes import (
     GaussianTemporalMode,
@@ -221,6 +222,8 @@ class TestPairDistribution:
                 continue
             dist = model.pair_distribution(pairs)
             reference = oracle_pair_distribution(states, purity, pairs, net_h, net_v)
-            assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-            for occ in set(dist) | set(reference):
-                assert dist.get(occ, 0.0) == pytest.approx(reference.get(occ, 0.0), abs=1e-12)
+            occupations = output_occupations(sum(pairs), 3)
+            assert set(reference) <= set(occupations)
+            assert math.fsum(dist) == pytest.approx(1.0, abs=1e-12)
+            for occ, q in zip(occupations, dist):
+                assert q == pytest.approx(reference.get(occ, 0.0), abs=1e-12)
