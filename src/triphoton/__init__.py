@@ -9,6 +9,11 @@ every event probability from one permutation-sum engine,
 ``interference.columns_distribution``.  The closed forms, the mixed-state
 trace formulas and the oracle check it; the oracle sees polarisation
 dependence as an explicit 2m-mode network.
+
+Every probability depends on the Gram matrix only through its moduli and the
+triad phase, so the preparations take no parameter that only re-phases the
+photons: a recipe, the temporal width and the scanned delay or collective
+phase fix each point.
 """
 
 __version__ = "0.1.0"

@@ -23,7 +23,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalInconsistency, TriphotonError
 from .experiment import (
+    GRID_RECIPES,
     IDEAL_EVENT_ORDER,
+    RECIPES,
     DetectionCascade,
     ScanResult,
     default_delay_grid,
@@ -39,9 +41,6 @@ from .interference import Network
 from .modes import qubit_triad_phase
 from .oracle import equivalence_report
 from .source import SourceParams
-
-# The recipes each grid kind scans; any other pairing is a config error.
-GRID_RECIPES = {"delay": ("all_H", "static_pi"), "triad": ("dynamic",)}
 
 VALIDATION_DEFAULTS = {"instances": 100, "seed": 20260810}
 
@@ -65,15 +64,14 @@ CONFIG_SCHEMA = {
     "properties": {
         "mode": {"enum": ["ideal-scan", "experiment", "validate", "qubit-analysis"]},
         "format": {"enum": ["csv", "json"]},
-        "output": {"type": "string"},
-        "seed": {"type": "integer"},
+        # A file name prefix; the operating system refuses a NUL in a path.
+        "output": {"type": "string", "pattern": "^[^\\x00]*$"},
         "preparation": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "recipe": {"enum": ["all_H", "static_pi", "dynamic", "custom"]},
+                "recipe": {"enum": list(RECIPES)},
                 "sigma": {"type": "number", "exclusiveMinimum": 0},
-                "central_frequency": _NUMBER,
             },
         },
         "grid": {
@@ -124,7 +122,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "instances": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
             },
         },
         "qubit": {
@@ -144,6 +142,16 @@ CONFIG_SCHEMA = {
 }
 
 
+# The draft's "integer" also admits integral floats such as 3.0, which range()
+# and linspace() refuse; a count in a config must be a JSON integer.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -160,8 +168,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: e.json_path)
+    errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(raw), key=lambda e: e.json_path)
     if errors:
         details = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
         raise ConfigError(f"invalid config: {details}")
@@ -182,12 +189,10 @@ def _resolved(config: dict) -> dict:
         "mode": config["mode"],
         "format": config.get("format", "csv"),
         "output": config.get("output", "run"),
-        "seed": config.get("seed", 0),
     }
     prep = dict(config.get("preparation", {}))
     prep.setdefault("recipe", "all_H")
     prep.setdefault("sigma", 1.0)
-    prep.setdefault("central_frequency", 0.0)
     out["preparation"] = prep
     grid = dict(config.get("grid", {}))
     grid.setdefault("kind", "delay" if prep["recipe"] in GRID_RECIPES["delay"] else "triad")
@@ -262,10 +267,9 @@ def _run_ideal_scan(resolved: dict) -> tuple[ScanResult, list[str]]:
     sigma = prep["sigma"]
     values = _grid_values(grid, sigma)
     if grid["kind"] == "delay":
-        result = scan_delays(prep["recipe"], values, sigma, prep["central_frequency"])
+        result = scan_delays(prep["recipe"], values, sigma)
     else:
-        thetas = [theta_for_phase(v) for v in values]
-        result = scan_triad(thetas, sigma, prep["central_frequency"])
+        result = scan_triad(values, sigma)
     return result, list(IDEAL_EVENT_ORDER)
 
 
@@ -287,23 +291,18 @@ def _run_experiment(resolved: dict) -> tuple[ScanResult, list[str]]:
         if "v" in resolved["tritter"]:
             net_v = _parse_matrix(resolved["tritter"]["v"])
     if grid["kind"] == "delay":
-        preps = delay_scan_preparations(
-            prep["recipe"], values, sigma, prep["central_frequency"]
-        )
+        preps = delay_scan_preparations(prep["recipe"], values, sigma)
         x_name = "tau"
-        xs = values
     else:
-        thetas = [theta_for_phase(v) for v in values]
-        preps = triad_scan_preparations(thetas, sigma, prep["central_frequency"])
+        preps = triad_scan_preparations([theta_for_phase(v) for v in values], sigma)
         x_name = "phi"
-        xs = values
     result = simulate_counts(
         preps,
         source,
         cascade,
         net_h,
         net_v,
-        x_values=xs,
+        x_values=values,
         x_name=x_name,
         purity_model=purity_model,
     )
@@ -320,8 +319,14 @@ def _validate(instances: int, seed: int) -> tuple[dict, int]:
     return report, 0 if report["max_deviation"] < 1e-9 else 3
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) -> int:
-    """Execute a configuration; returns the process exit code."""
+    """Execute a configuration; returns the process exit code.
+
+    numpy's overflow, invalid-value and divide-by-zero results raise during
+    the run, so a non-finite intermediate ends it with exit 3 instead of
+    reaching a data file.
+    """
     try:
         config = load_config(config_path)
         resolved = _resolved(config)
@@ -386,7 +391,10 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
     except (ConfigError, jsonschema.ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalInconsistency as exc:
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except (NumericalInconsistency, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical inconsistency: {exc}", file=sys.stderr)
         return 3
     except TriphotonError as exc:
@@ -394,12 +402,17 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
         return 2
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1, as in the config schema."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _validation_int(key: str):
+    """argparse type for ``validation.<key>``, with the config schema's lower bound."""
+    minimum = CONFIG_SCHEMA["properties"]["validation"]["properties"][key]["minimum"]
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -415,10 +428,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out-dir", default=None)
 
     p_val = sub.add_parser("validate", help="run the oracle-equivalence suite")
-    p_val.add_argument(
-        "--instances", type=_positive_int, default=VALIDATION_DEFAULTS["instances"]
-    )
-    p_val.add_argument("--seed", type=int, default=VALIDATION_DEFAULTS["seed"])
+    for key in ("instances", "seed"):
+        p_val.add_argument(f"--{key}", type=_validation_int(key), default=VALIDATION_DEFAULTS[key])
 
     sub.add_parser("version", help="print the library version")
 

@@ -4,6 +4,10 @@ Provides the three polarisation/delay preparation recipes, ideal-model delay
 and collective-phase scans, threshold-detector cascades with pseudo-number
 resolution, and the full noisy simulation that folds in higher-order pair
 emission, noise photons, impurity and detection efficiency.
+
+``GRID_RECIPES``, the one owner of the pairing of scan grids and recipes, is
+read by the configuration schema and the scan builders.  A preparation has no
+carrier frequency: a common carrier only re-phases the Gram matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ from .source import (
     truncation_deficit,
 )
 
-RECIPES = ("all_H", "static_pi", "dynamic", "custom")
+# The recipes each grid kind scans; any other pairing is an error.
+GRID_RECIPES = {"delay": ("all_H", "static_pi"), "triad": ("dynamic",)}
+RECIPES = tuple(recipe for recipes in GRID_RECIPES.values() for recipe in recipes)
 
 # Column order for ideal-scan outputs: coincidence, two-photon marginals,
 # then the bunched three-photon events.
@@ -70,18 +76,13 @@ class Preparation:
     recipe: str
     delays: tuple[float, float, float] = (0.0, 0.0, 0.0)
     sigma: float = 1.0
-    central_frequency: float = 0.0
     theta: float | None = None
-    polarizations: tuple[tuple[complex, complex], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.recipe not in RECIPES:
             raise DomainError(f"unknown recipe {self.recipe!r}")
         if self.recipe == "dynamic" and self.theta is None:
             raise DomainError("the dynamic recipe needs a rotation angle theta")
-        if self.recipe == "custom":
-            if self.polarizations is None or len(self.polarizations) != 3:
-                raise DomainError("the custom recipe needs three polarisation amplitude pairs")
 
 
 def prepare(prep: Preparation) -> list[InternalState]:
@@ -102,20 +103,15 @@ def prepare(prep: Preparation) -> list[InternalState]:
             PolarizationState(0.5, 0.5 * SQRT3),
             PolarizationState(0.5, -0.5 * SQRT3),
         ]
-    elif prep.recipe == "dynamic":
+    else:
         two_theta = 2.0 * float(prep.theta)
         pols = [
             PolarizationState(math.cos(two_theta), 1j * math.sin(two_theta)),
             PolarizationState(0.5 * SQRT3, 0.5),
             PolarizationState(0.5 * SQRT3, -0.5),
         ]
-    else:
-        pols = [PolarizationState(complex(h), complex(v)) for h, v in prep.polarizations]
     return [
-        InternalState(
-            temporal=GaussianTemporalMode(t, prep.sigma, prep.central_frequency),
-            polarization=pol,
-        )
+        InternalState(temporal=GaussianTemporalMode(t, prep.sigma), polarization=pol)
         for t, pol in zip(prep.delays, pols)
     ]
 
@@ -140,48 +136,38 @@ def theta_for_phase(phi: float) -> float:
     return 0.5 * math.atan2(SQRT3 * math.sin(half), math.cos(half))
 
 
-def delay_scan_preparations(
-    recipe: str, tau_values, sigma: float, central_frequency: float = 0.0
-) -> list[Preparation]:
+def delay_scan_preparations(recipe: str, tau_values, sigma: float) -> list[Preparation]:
     """Symmetric delay scan: t1 = -tau/2, t2 = 0, t3 = +tau/2."""
-    if recipe not in ("all_H", "static_pi"):
-        raise DomainError("delay scans are defined for the all_H and static_pi recipes")
+    if recipe not in GRID_RECIPES["delay"]:
+        scanned = " and ".join(GRID_RECIPES["delay"])
+        raise DomainError(f"delay scans are defined for the {scanned} recipes, not {recipe!r}")
     return [
-        Preparation(
-            recipe,
-            delays=(-0.5 * float(tau), 0.0, 0.5 * float(tau)),
-            sigma=sigma,
-            central_frequency=central_frequency,
-        )
+        Preparation(recipe, delays=(-0.5 * float(tau), 0.0, 0.5 * float(tau)), sigma=sigma)
         for tau in tau_values
     ]
 
 
-def triad_scan_preparations(
-    theta_values, sigma: float, central_frequency: float = 0.0
-) -> list[Preparation]:
+def triad_scan_preparations(theta_values, sigma: float) -> list[Preparation]:
     """Dynamic-recipe scan with the delay condition applied at every angle."""
-    preps = []
-    for theta in theta_values:
-        delta = delay_condition(float(theta), sigma)
-        preps.append(
-            Preparation(
-                "dynamic",
-                delays=(delta, 0.0, 0.0),
-                sigma=sigma,
-                central_frequency=central_frequency,
-                theta=float(theta),
-            )
+    return [
+        Preparation(
+            "dynamic",
+            delays=(delay_condition(float(theta), sigma), 0.0, 0.0),
+            sigma=sigma,
+            theta=float(theta),
         )
-    return preps
+        for theta in theta_values
+    ]
 
 
-def default_delay_grid(sigma: float, points: int = 61) -> np.ndarray:
-    return np.linspace(-12.0 * sigma, 12.0 * sigma, points)
+def default_delay_grid(sigma: float) -> np.ndarray:
+    """61 symmetric delays over [-12 sigma, 12 sigma]."""
+    return np.linspace(-12.0 * sigma, 12.0 * sigma, 61)
 
 
-def default_phase_grid(points: int = 33) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, points)
+def default_phase_grid() -> np.ndarray:
+    """33 collective phases over [0, 2 pi]."""
+    return np.linspace(0.0, 2.0 * math.pi, 33)
 
 
 @dataclass
@@ -205,40 +191,31 @@ def _ideal_point(states: list[InternalState]) -> dict[str, float]:
     return values
 
 
-def _ideal_scan(preps: list[Preparation], x_name: str, x_values, metadata: dict) -> ScanResult:
+def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
     xs = np.asarray(list(x_values), dtype=float)
     series = {name: np.empty(len(preps)) for name in IDEAL_EVENT_ORDER}
     for i, prep in enumerate(preps):
         values = _ideal_point(prepare(prep))
         for name in IDEAL_EVENT_ORDER:
             series[name][i] = values[name]
-    return ScanResult(x_name=x_name, x_values=xs, series=series, metadata=metadata)
+    return ScanResult(x_name=x_name, x_values=xs, series=series)
 
 
-def scan_delays(
-    recipe: str, tau_values, sigma: float, central_frequency: float = 0.0
-) -> ScanResult:
+def scan_delays(recipe: str, tau_values, sigma: float) -> ScanResult:
     """Ideal-model event probabilities along a symmetric delay scan."""
-    preps = delay_scan_preparations(recipe, tau_values, sigma, central_frequency)
-    return _ideal_scan(
-        preps, "tau", tau_values, {"recipe": recipe, "sigma": sigma, "model": "ideal"}
-    )
+    return _ideal_scan(delay_scan_preparations(recipe, tau_values, sigma), "tau", tau_values)
 
 
-def scan_triad(theta_values, sigma: float, central_frequency: float = 0.0) -> ScanResult:
+def scan_triad(phi_values, sigma: float) -> ScanResult:
     """Ideal-model event probabilities while scanning the collective phase.
 
-    The x axis carries the collective phase; the delay condition keeps all
-    three overlap moduli at 1/2, so the coincidence follows
-    (5/4 + cos(phi)/2)/9 while the two-photon marginals stay at 7/36.
+    The x axis carries the requested phases unchanged; the dynamic recipe
+    realises each at the angle :func:`theta_for_phase` gives.  The delay
+    condition keeps all three overlap moduli at 1/2, so the coincidence
+    follows (5/4 + cos(phi)/2)/9 while the two-photon marginals stay at 7/36.
     """
-    preps = triad_scan_preparations(theta_values, sigma)
-    phis = [phase_for_theta(float(t)) for t in theta_values]
-    result = _ideal_scan(
-        preps, "phi", phis, {"recipe": "dynamic", "sigma": sigma, "model": "ideal"}
-    )
-    result.metadata["theta_values"] = [float(t) for t in theta_values]
-    return result
+    thetas = [theta_for_phase(float(phi)) for phi in phi_values]
+    return _ideal_scan(triad_scan_preparations(thetas, sigma), "phi", phi_values)
 
 
 SPLITTER_LEAVES = {"none": 1, "beamsplitter_2way": 2, "tritter_3way": 3}
@@ -530,25 +507,9 @@ def simulate_counts(
         else np.arange(n_points, dtype=float)
     )
     metadata = {
-        "model": "experiment",
         "truncation_deficit": deficit,
         "truncation_warning": deficit > 1e-2,
         "herald_probability": herald_norm,
         "polarization_dependent": pol_dependent,
-        "purity_model": purity_model,
-        "trial_rate_hz": 80e6,
-        "source": {
-            "squeezing": source.squeezing,
-            "purity": source.purity,
-            "p_noise_idler": source.p_noise_idler,
-            "p_noise_signal": source.p_noise_signal,
-            "truncation_total_photons": source.truncation_total_photons,
-            "truncation_noise_photons": source.truncation_noise_photons,
-            "herald_efficiency": source.herald_efficiency,
-        },
-        "cascade": {
-            "splitters": list(cascade.splitters),
-            "detector_efficiency": cascade.detector_efficiency,
-        },
     }
     return ScanResult(x_name=x_name, x_values=xs, series=series, metadata=metadata)

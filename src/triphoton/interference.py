@@ -12,7 +12,8 @@ internal state divide the sum by the input-occupation factorials as well.
 :func:`event_distribution` and :func:`event_probability` are its front ends
 for one photon per input of a network.  Closed forms for the balanced
 beamsplitter and tritter are provided and must agree with the engine to near
-machine precision.
+machine precision.  :func:`permanent`, a direct enumeration for the 3x3
+matrices of the mixed-state trace formulas, is not on the engine's path.
 """
 
 from __future__ import annotations
@@ -97,8 +98,11 @@ def balanced_beamsplitter() -> Network:
     return Network(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
 
 
-def permanent_naive(matrix: np.ndarray) -> complex:
-    """Permanent by direct enumeration of permutations (fine for n <= 5)."""
+def permanent(matrix: np.ndarray) -> complex:
+    """Permanent of a square complex matrix by direct enumeration of permutations.
+
+    Costs n! products; meant for the 3x3 matrices of the trace formulas.
+    """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("permanent requires a square matrix")
@@ -112,38 +116,6 @@ def permanent_naive(matrix: np.ndarray) -> complex:
             p *= a[i, j]
         total += p
     return total
-
-
-def permanent_ryser(matrix: np.ndarray) -> complex:
-    """Permanent via Ryser's inclusion-exclusion with Gray-code column updates."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("permanent requires a square matrix")
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    gray = 0
-    for k in range(1, 1 << n):
-        new_gray = k ^ (k >> 1)
-        j = (new_gray ^ gray).bit_length() - 1
-        if new_gray & (1 << j):
-            row_sums += a[:, j]
-        else:
-            row_sums -= a[:, j]
-        gray = new_gray
-        sign = -1.0 if (gray.bit_count() & 1) else 1.0
-        total += sign * np.prod(row_sums)
-    return total if n % 2 == 0 else -total
-
-
-def permanent(matrix: np.ndarray) -> complex:
-    """Permanent of a square complex matrix (naive for n <= 4, Ryser beyond)."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("permanent requires a square matrix")
-    return permanent_naive(a) if a.shape[0] <= 4 else permanent_ryser(a)
 
 
 def output_occupations(n: int, m: int) -> list[tuple[int, ...]]:
@@ -307,13 +279,6 @@ def tritter_bunched(r12: float, r23: float, r31: float, phi: float) -> dict[str,
     p120 = (1.0 - 2.0 * triple * math.cos(phi + math.pi / 3.0)) / 9.0
     p021 = (1.0 - 2.0 * triple * math.cos(phi - math.pi / 3.0)) / 9.0
     return {"P300": p300, "P120_class": p120, "P021_class": p021}
-
-
-# Occupations belonging to each bunched class, for a photon entering input j
-# of the tritter: class members are related by cyclic relabelling.
-P120_CLASS = ((1, 2, 0), (0, 1, 2), (2, 0, 1))
-P021_CLASS = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
-P300_CLASS = ((3, 0, 0), (0, 3, 0), (0, 0, 3))
 
 
 def two_photon_marginals_tritter(g) -> dict[str, float]:

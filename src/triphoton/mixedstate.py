@@ -25,7 +25,7 @@ from .interference import (
     EventSpec,
     Network,
     output_occupations,
-    permanent_naive,
+    permanent,
 )
 from .modes import GramMatrix, InternalState, temporal_overlap
 
@@ -84,14 +84,15 @@ class TemporalBasis:
         return self.coefficients.shape[1]
 
 
-def gram_schmidt_temporal(t_overlaps: np.ndarray, tol: float = 1e-10) -> TemporalBasis:
+def gram_schmidt_temporal(t_overlaps: np.ndarray) -> TemporalBasis:
     """Triangular orthonormalisation of up to three temporal modes.
 
     Implements the explicit construction: mode 1 is the first basis vector,
     mode 2 adds a component ``sqrt(1 - |<t1|t2>|^2)`` on the second, and mode 3
     enters with ``alpha = (<t2|t3> - <t2|t1><t1|t3>) / sqrt(1 - |<t1|t2>|^2)``
-    on the second vector.  When a denominator degenerates (coincident modes)
-    the basis collapses to its numerical rank instead of being regularised.
+    on the second vector.  When a remaining norm squared is 1e-10 or less
+    (coincident modes) the basis collapses to its numerical rank instead of
+    being regularised.
     """
     g = np.asarray(t_overlaps, dtype=complex)
     n = g.shape[0]
@@ -109,7 +110,7 @@ def gram_schmidt_temporal(t_overlaps: np.ndarray, tol: float = 1e-10) -> Tempora
         c21 = g[1, 0]
         rem = 1.0 - abs(c21) ** 2
         coeffs[1, 0] = c21
-        if rem > tol:
+        if rem > 1e-10:
             coeffs[1, rank] = math.sqrt(rem)
             rank += 1
     if n == 3:
@@ -119,7 +120,7 @@ def gram_schmidt_temporal(t_overlaps: np.ndarray, tol: float = 1e-10) -> Tempora
             alpha = (g[2, 1] - g[2, 0] * g[0, 1]) / coeffs[1, 1].real
             coeffs[2, 1] = alpha
             rem -= abs(alpha) ** 2
-        if rem > tol:
+        if rem > 1e-10:
             coeffs[2, rank] = math.sqrt(rem)
             rank += 1
     return TemporalBasis(overlaps=g, coefficients=coeffs[:, :rank])
@@ -257,7 +258,7 @@ def mixed_event_probability(
     for perm in itertools.permutations(range(n)):
         weight = _cycle_trace(perm, rhos)
         hadamard = m[:, list(perm)] * np.conj(m)
-        total += weight * permanent_naive(hadamard)
+        total += weight * permanent(hadamard)
     norm = 1.0
     for s in spec.output_occupation:
         norm *= math.factorial(s)
@@ -286,7 +287,7 @@ def p111_mixed(
     u = net.matrix
 
     def had_perm(order: tuple[int, int, int]) -> complex:
-        return permanent_naive(u[:, list(order)] * np.conj(u))
+        return permanent(u[:, list(order)] * np.conj(u))
 
     r1, r2, r3 = rho1.matrix, rho2.matrix, rho3.matrix
     t12 = np.trace(r1 @ r2).real

@@ -234,18 +234,18 @@ def gram_matrix(states: list[InternalState]) -> GramMatrix:
     return GramMatrix(m)
 
 
-def triad_phase(g: GramMatrix | np.ndarray, tol: float = 1e-12) -> float:
+def triad_phase(g: GramMatrix | np.ndarray) -> float:
     """Argument of the cyclic product S12*S23*S31, reduced to [0, 2*pi).
 
-    Raises ``TriadPhaseUndefined`` when the cyclic product modulus falls below
-    ``tol`` (fully distinguishable photons carry no collective phase).
+    Raises ``TriadPhaseUndefined`` when the cyclic product modulus is 1e-12
+    or less (fully distinguishable photons carry no collective phase).
     """
     m = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=complex)
     if m.shape != (3, 3):
         raise DomainError("triad phase requires a 3x3 Gram matrix")
     cyc = m[0, 1] * m[1, 2] * m[2, 0]
-    if abs(cyc) <= tol:
-        raise TriadPhaseUndefined(f"cyclic product modulus {abs(cyc):.3e} below tolerance {tol:.1e}")
+    if abs(cyc) <= 1e-12:
+        raise TriadPhaseUndefined(f"cyclic product modulus {abs(cyc):.3e} below tolerance 1e-12")
     return float(np.angle(cyc) % TWO_PI)
 
 

@@ -127,29 +127,24 @@ class HeraldedTerm:
     weight: float
 
 
-def heralded_ensemble(
-    terms: list[EmissionTerm], herald_efficiency: float | tuple[float, float, float]
-) -> list[HeraldedTerm]:
+def heralded_ensemble(terms: list[EmissionTerm], herald_efficiency: float) -> list[HeraldedTerm]:
     """Weighted idler-side configurations given a click in all three herald arms.
 
     Herald detectors are threshold detectors: with c photons in a signal arm
-    of efficiency eta the click probability is 1 - (1-eta)**c.  Terms that
-    cannot herald (an empty signal arm) are dropped; configurations differing
-    only in signal-noise counts are merged.
+    the click probability is 1 - (1-eta)**c, with the same efficiency eta in
+    every arm.  Terms that cannot herald (an empty signal arm) are dropped;
+    configurations differing only in signal-noise counts are merged.
     """
-    if isinstance(herald_efficiency, (int, float)):
-        etas = (float(herald_efficiency),) * N_SOURCES
-    else:
-        etas = tuple(float(e) for e in herald_efficiency)
-    if len(etas) != N_SOURCES or any(not 0.0 < e <= 1.0 for e in etas):
-        raise DomainError("need one herald efficiency in (0, 1] per source")
+    if not 0.0 < herald_efficiency <= 1.0:
+        raise DomainError("herald efficiency must lie in (0, 1]")
+    miss = 1.0 - float(herald_efficiency)
 
     merged: dict[tuple[tuple[int, int, int], tuple[int, int, int]], float] = {}
     for term in terms:
         click = 1.0
         for i in range(N_SOURCES):
             photons = term.pairs[i] + term.signal_noise[i]
-            click *= 1.0 - (1.0 - etas[i]) ** photons
+            click *= 1.0 - miss**photons
             if click == 0.0:
                 break
         if click == 0.0:

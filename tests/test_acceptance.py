@@ -15,7 +15,6 @@ from triphoton.experiment import (
     scan_delays,
     scan_triad,
     simulate_counts,
-    theta_for_phase,
 )
 from triphoton.interference import (
     EventSpec,
@@ -163,7 +162,7 @@ def test_criterion_5_delay_scan_shapes():
 
 def test_criterion_6_triad_scan():
     phis = np.linspace(0.0, 2 * math.pi, 33)
-    res = scan_triad([theta_for_phase(v) for v in phis], 1.0)
+    res = scan_triad(phis, 1.0)
     expected = (1.25 + 0.5 * np.cos(phis)) / 9
     dev = np.max(np.abs(res.series["P111"] - expected))
     assert dev < 1e-12

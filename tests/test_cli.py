@@ -81,16 +81,35 @@ class TestConfigValidation:
         assert "Infinity" in capsys.readouterr().err
         assert not (tmp_path / "demo_series.csv").exists()
 
-    def test_custom_recipe_on_triad_grid(self, tmp_path, capsys):
+    def test_custom_recipe_rejected(self, tmp_path, capsys):
         cfg = dict(IDEAL_TRIAD, preparation={"recipe": "custom"})
         path = write_config(tmp_path / "bad.json", cfg)
         assert run(path, out_dir=str(tmp_path)) == 2
-        assert "$.grid.kind" in capsys.readouterr().err
+        assert "$.preparation.recipe" in capsys.readouterr().err
         assert not (tmp_path / "demo_series.csv").exists()
+
+    def test_top_level_seed_rejected(self, tmp_path, capsys):
+        cfg = dict(IDEAL_TRIAD, seed=0)
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 2
+        assert "$: Additional properties are not allowed ('seed'" in capsys.readouterr().err
+        assert not (tmp_path / "demo_series.csv").exists()
+
+    def test_negative_validation_seed_rejected(self, tmp_path, capsys):
+        cfg = {"mode": "validate", "validation": {"instances": 1, "seed": -1}, "output": "val"}
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 2
+        assert "$.validation.seed" in capsys.readouterr().err
+        assert not (tmp_path / "val_metadata.json").exists()
 
     @pytest.mark.parametrize(
         "key, value",
-        [("theta", 3.0), ("delays", [9, 9, 9]), ("polarizations", [[1, 0, 0, 0]] * 3)],
+        [
+            ("theta", 3.0),
+            ("delays", [9, 9, 9]),
+            ("polarizations", [[1, 0, 0, 0]] * 3),
+            ("central_frequency", 2.1),
+        ],
     )
     def test_unread_preparation_key_rejected(self, tmp_path, capsys, key, value):
         cfg = dict(IDEAL_TRIAD, preparation={"recipe": "dynamic", key: value})
@@ -118,6 +137,13 @@ class TestIdealScanRun:
         i_pi = int(np.argmin(np.abs(phis - math.pi)))
         assert p111[i_pi] == pytest.approx(1 / 12, abs=1e-10)
         assert p111[0] == pytest.approx(7 / 36, abs=1e-10)
+
+    def test_triad_x_column_is_configured_grid(self, tmp_path):
+        cfg = {"mode": "ideal-scan", "preparation": {"recipe": "dynamic"}, "output": "demo"}
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 0
+        _, rows = read_csv(tmp_path / "demo_series.csv")
+        assert rows[:, 0].tolist() == np.linspace(0.0, 2 * math.pi, 33).tolist()
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", IDEAL_TRIAD)
@@ -232,6 +258,14 @@ class TestMainEntry:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "must be at least 1" in captured.err
+        assert "validated" not in captured.out
+
+    def test_validate_rejects_negative_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--instances", "1", "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be at least 0" in captured.err
         assert "validated" not in captured.out
 
     def test_python_m_package(self):

@@ -28,7 +28,7 @@ from triphoton.experiment import (
 )
 from triphoton.interference import Network, balanced_tritter, output_occupations
 from triphoton.mixedstate import build_densities, mixed_event_distribution
-from triphoton.modes import gram_matrix, overlap, triad_phase
+from triphoton.modes import gram_matrix, triad_phase
 from triphoton.source import SourceParams, enumerate_terms, heralded_ensemble
 
 IDEAL_SOURCE = SourceParams(
@@ -70,19 +70,9 @@ class TestPrepare:
             assert abs(g[i, j]) == pytest.approx(0.5, abs=1e-12)
         assert triad_phase(g) == pytest.approx(math.pi / 3, abs=1e-12)
 
-    def test_custom_recipe(self):
-        prep = Preparation(
-            "custom",
-            polarizations=((1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1j / math.sqrt(2))),
-        )
-        states = prepare(prep)
-        assert overlap(states[0], states[1]) == pytest.approx(0.0, abs=1e-15)
-
     def test_recipe_validation(self):
         with pytest.raises(DomainError):
             Preparation("dynamic")
-        with pytest.raises(DomainError):
-            Preparation("custom")
         with pytest.raises(DomainError):
             Preparation("nope")
 
@@ -140,8 +130,7 @@ class TestIdealScans:
 
     def test_triad_scan_cosine(self):
         phis = np.linspace(0.0, 2 * math.pi, 33)
-        thetas = [theta_for_phase(p) for p in phis]
-        res = scan_triad(thetas, 1.0)
+        res = scan_triad(phis, 1.0)
         expected = (1.25 + 0.5 * np.cos(phis)) / 9
         assert np.max(np.abs(res.series["P111"] - expected)) < 1e-12
         design = np.column_stack([np.ones_like(phis), np.cos(phis)])
@@ -150,9 +139,14 @@ class TestIdealScans:
         residual = res.series["P111"] - design @ [a, b]
         assert np.max(np.abs(residual)) < 1e-10
 
+    def test_triad_scan_x_is_requested_phases(self):
+        phis = np.linspace(0.0, 2 * math.pi, 33)
+        res = scan_triad(phis, 1.0)
+        assert res.x_values.tolist() == phis.tolist()
+
     def test_triad_scan_constant_marginals(self):
         phis = np.linspace(0.0, 2 * math.pi, 17)
-        res = scan_triad([theta_for_phase(p) for p in phis], 1.0)
+        res = scan_triad(phis, 1.0)
         for key in ("P011", "P101", "P110"):
             assert np.ptp(res.series[key]) < 1e-12
             assert res.series[key][0] == pytest.approx(7 / 36, abs=1e-12)
@@ -201,7 +195,7 @@ class TestSimulateCounts:
         thetas = [theta_for_phase(p) for p in phis]
         preps = triad_scan_preparations(thetas, 1.0)
         counts = simulate_counts(preps, IDEAL_SOURCE, cascade_none(1.0), x_values=phis)
-        ideal = scan_triad(thetas, 1.0)
+        ideal = scan_triad(phis, 1.0)
         assert np.max(np.abs(counts.series["N111"] - ideal.series["P111"])) < 1e-9
         assert np.max(
             np.abs(counts.series["N110"] - ideal.series["P210"] - ideal.series["P120"])

@@ -20,8 +20,6 @@ from triphoton.interference import (
     occupation_index,
     output_occupations,
     permanent,
-    permanent_naive,
-    permanent_ryser,
     tritter_bunched,
     tritter_p111,
     two_photon_marginals_tritter,
@@ -105,12 +103,6 @@ class TestPermanent:
         assert permanent(np.ones((2, 2))) == pytest.approx(2.0)
         assert permanent(np.ones((4, 4))) == pytest.approx(math.factorial(4))
         assert permanent(np.empty((0, 0))) == pytest.approx(1.0)
-
-    def test_naive_matches_ryser(self):
-        rng = np.random.default_rng(2)
-        for n in range(1, 8):
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            assert permanent_ryser(m) == pytest.approx(permanent_naive(m), rel=1e-12)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(DomainError):

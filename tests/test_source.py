@@ -126,5 +126,3 @@ class TestHeraldedEnsemble:
         terms = enumerate_terms(NOMINAL)
         with pytest.raises(DomainError):
             heralded_ensemble(terms, 0.0)
-        with pytest.raises(DomainError):
-            heralded_ensemble(terms, (0.5, 0.5))
