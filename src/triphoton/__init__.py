@@ -4,11 +4,15 @@ Exact event probabilities for a few photons in small linear-optical networks,
 parameterised by the Gram matrix of the photons' internal states; includes
 the collective three-photon phase, a mixed-state extension, a noisy
 heralded-source model with threshold-detector cascades, and an independent
-brute-force Fock-space oracle.  Ideal scans and the noisy simulation take
+brute-force Fock-space oracle.  Ideal scans and the noisy simulation share
+one point model, built on each point's Gram matrix, validated once, and take
 every event probability from one permutation-sum engine,
-``interference.columns_distribution``.  The closed forms, the mixed-state
+``interference._columns_distribution``.  The closed forms, the mixed-state
 trace formulas and the oracle check it; the oracle sees polarisation
-dependence as an explicit 2m-mode network.
+dependence as an explicit 2m-mode network.  ``mixedstate`` and ``oracle`` are
+reference code: the package exports them, but ``modes``, ``interference``,
+``source`` and ``experiment`` never import them, and ``cli`` calls the oracle
+only for ``validate``.
 
 Every probability depends on the Gram matrix only through its moduli and the
 triad phase, so the preparations take no parameter that only re-phases the
@@ -48,10 +52,8 @@ from .interference import (
     event_distribution,
     event_probability,
     output_occupations,
-    permanent,
     tritter_bunched,
     tritter_p111,
-    two_photon_marginals_tritter,
 )
 from .mixedstate import (
     InternalDensity,
@@ -61,6 +63,7 @@ from .mixedstate import (
     gram_schmidt_temporal,
     mixed_event_probability,
     p111_mixed,
+    permanent,
 )
 from .modes import (
     DelayedSpectralMode,

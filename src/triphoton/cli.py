@@ -44,6 +44,14 @@ from .source import SourceParams
 
 VALIDATION_DEFAULTS = {"instances": 100, "seed": 20260810}
 
+# The blocks each mode reads; any other block in its configuration is an error.
+MODE_BLOCKS = {
+    "ideal-scan": ("preparation", "grid"),
+    "experiment": ("preparation", "grid", "source", "cascade", "tritter"),
+    "validate": ("validation",),
+    "qubit-analysis": ("qubit",),
+}
+
 _NUMBER = {"type": "number"}
 _MATRIX = {
     "type": "array",
@@ -62,7 +70,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "required": ["mode"],
     "properties": {
-        "mode": {"enum": ["ideal-scan", "experiment", "validate", "qubit-analysis"]},
+        "mode": {"enum": list(MODE_BLOCKS)},
         "format": {"enum": ["csv", "json"]},
         # A file name prefix; the operating system refuses a NUL in a path.
         "output": {"type": "string", "pattern": "^[^\\x00]*$"},
@@ -81,7 +89,7 @@ CONFIG_SCHEMA = {
                 "kind": {"enum": ["delay", "triad"]},
                 "start": _NUMBER,
                 "stop": _NUMBER,
-                "points": {"type": "integer", "minimum": 2},
+                "points": {"type": "integer", "minimum": 2, "maximum": 10000},
                 "values": {"type": "array", "minItems": 1, "items": _NUMBER},
             },
         },
@@ -169,9 +177,17 @@ def load_config(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(raw), key=lambda e: e.json_path)
-    if errors:
-        details = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
-        raise ConfigError(f"invalid config: {details}")
+    details = [f"{e.json_path}: {e.message}" for e in errors]
+    if not details:
+        mode = raw["mode"]
+        blocks = {block for read in MODE_BLOCKS.values() for block in read}
+        details = [
+            f"$.{key}: {mode} mode does not read this block"
+            for key in sorted(raw)
+            if key in blocks and key not in MODE_BLOCKS[mode]
+        ]
+    if details:
+        raise ConfigError(f"invalid config: {'; '.join(details)}")
     return raw
 
 
@@ -185,24 +201,27 @@ def _defaults(cls) -> dict:
 
 def _resolved(config: dict) -> dict:
     """Configuration with all defaults filled in (round-trips through run())."""
+    mode = config["mode"]
     out = {
-        "mode": config["mode"],
+        "mode": mode,
         "format": config.get("format", "csv"),
         "output": config.get("output", "run"),
     }
-    prep = dict(config.get("preparation", {}))
-    prep.setdefault("recipe", "all_H")
-    prep.setdefault("sigma", 1.0)
-    out["preparation"] = prep
-    grid = dict(config.get("grid", {}))
-    grid.setdefault("kind", "delay" if prep["recipe"] in GRID_RECIPES["delay"] else "triad")
-    out["grid"] = grid
-    src = {**_defaults(SourceParams), "purity_model": "trace"}
-    out["source"] = {**src, **config.get("source", {})}
-    out["cascade"] = {**_defaults(DetectionCascade), **config.get("cascade", {})}
-    if "tritter" in config:
-        out["tritter"] = config["tritter"]
-    if "validation" in config or config["mode"] == "validate":
+    if mode in ("ideal-scan", "experiment"):
+        prep = dict(config.get("preparation", {}))
+        prep.setdefault("recipe", "all_H")
+        prep.setdefault("sigma", 1.0)
+        out["preparation"] = prep
+        grid = dict(config.get("grid", {}))
+        grid.setdefault("kind", "delay" if prep["recipe"] in GRID_RECIPES["delay"] else "triad")
+        out["grid"] = grid
+    if mode == "experiment":
+        src = {**_defaults(SourceParams), "purity_model": "trace"}
+        out["source"] = {**src, **config.get("source", {})}
+        out["cascade"] = {**_defaults(DetectionCascade), **config.get("cascade", {})}
+        if "tritter" in config:
+            out["tritter"] = config["tritter"]
+    if mode == "validate":
         out["validation"] = {**VALIDATION_DEFAULTS, **config.get("validation", {})}
     if "qubit" in config:
         q = dict(config["qubit"])

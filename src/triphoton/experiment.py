@@ -22,14 +22,11 @@ import numpy as np
 from .errors import DomainError
 from .interference import (
     Network,
+    _columns_distribution,
     balanced_tritter,
-    columns_distribution,
-    event_distribution,
     occupation_index,
     output_occupations,
-    two_photon_marginals_tritter,
 )
-from .mixedstate import _mixing_weight, temporal_rows
 from .modes import (
     GaussianTemporalMode,
     InternalState,
@@ -39,6 +36,7 @@ from .modes import (
 from .source import (
     HeraldedTerm,
     SourceParams,
+    _mixing_weight,
     enumerate_terms,
     heralded_ensemble,
     truncation_deficit,
@@ -180,24 +178,24 @@ class ScanResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _ideal_point(states: list[InternalState]) -> dict[str, float]:
-    g = gram_matrix(states)
-    net = balanced_tritter()
-    values = {}
-    dist = event_distribution(net, (0, 1, 2), g)
-    for occ, p in dist.items():
-        values["P" + "".join(str(s) for s in occ)] = p
-    values.update(two_photon_marginals_tritter(g))
-    return values
-
-
 def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
+    """Balanced-tritter events of pure photons, one per input, at every preparation.
+
+    The point model of :func:`simulate_counts` with common-mode weight 1: the
+    three-photon events are its (1, 1, 1) configuration, and each two-photon
+    marginal is the configuration of its input pair, detected at those outputs.
+    """
     xs = np.asarray(list(x_values), dtype=float)
+    net = balanced_tritter()
+    pair_index = occupation_index(2, 3)
     series = {name: np.empty(len(preps)) for name in IDEAL_EVENT_ORDER}
     for i, prep in enumerate(preps):
-        values = _ideal_point(prepare(prep))
-        for name in IDEAL_EVENT_ORDER:
-            series[name][i] = values[name]
+        model = _PointModel(prepare(prep), 1.0, net, net, False)
+        for occ, p in zip(output_occupations(3, 3), model.pair_distribution((1, 1, 1))):
+            series["P" + "".join(map(str, occ))][i] = p
+        for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+            p = model.pair_distribution(pairs)[pair_index[pairs]]
+            series["P" + "".join(map(str, pairs))][i] = p
     return ScanResult(x_name=x_name, x_values=xs, series=series)
 
 
@@ -357,13 +355,16 @@ def _fold_matrix(n: int) -> np.ndarray:
 
 
 class _PointModel:
-    """Per-scan-point machinery shared by all source terms."""
+    """Per-scan-point machinery shared by all source terms.
+
+    ``p_common`` is the common-mode weight of the source's mixedness model
+    (:func:`triphoton.source._mixing_weight`); 1 means pure photons.
+    """
 
     def __init__(
         self,
         states: list[InternalState],
-        purity: float,
-        purity_model: str,
+        p_common: float,
         net_h: Network,
         net_v: Network,
         pol_dependent: bool,
@@ -372,16 +373,13 @@ class _PointModel:
         self.net_h = net_h
         self.net_v = net_v
         self.pol_dependent = pol_dependent
-        self.p_common = _mixing_weight(purity, purity_model)
-        rows = temporal_rows(states)
-        # Overlaps of the sources' pure internal states.  A polarisation-dependent
+        self.p_common = p_common
+        # The one validated Gram matrix of the point: the sources' pure internal
+        # states, or only their temporal modes when a polarisation-dependent
         # network carries polarisation in the mode instead (see _column).
-        self.overlaps = rows @ rows.conj().T
-        if not pol_dependent:
-            pols = np.array(
-                [[s.polarization.amplitude_h, s.polarization.amplitude_v] for s in states]
-            )
-            self.overlaps = self.overlaps * (pols @ pols.conj().T)
+        if pol_dependent:
+            states = [InternalState(s.temporal) for s in states]
+        self.overlaps = gram_matrix(states).entries
 
     def _column(self, source: int) -> np.ndarray:
         """Output amplitudes of one idler of ``source``.
@@ -416,33 +414,12 @@ class _PointModel:
         for combo in product(*branches):
             weight = math.prod(w for w, _ in combo)
             slots = np.repeat([slot for _, slot in combo], [pairs[i] for i in participating])
+            # The point Gram (validated once) restricted to the idlers' modes is
+            # P G P^T for a 0/1 selection P, and a 0/1 block mask keeps it PSD by
+            # the Schur product theorem: the branch Gram is not re-checked.
             gram = overlaps * (slots[:, None] == slots[None, :])
-            total = total + weight * columns_distribution(columns, gram, modes)
+            total = total + weight * _columns_distribution(columns, gram, modes)
         return _fold_matrix(len(modes)) @ total if self.pol_dependent else total
-
-
-def two_photon_marginals_model(
-    prep: Preparation,
-    network: Network | None = None,
-    network_v: Network | None = None,
-    *,
-    purity: float = 1.0,
-    purity_model: str = "trace",
-) -> dict[str, float]:
-    """Two-photon coincidence marginals, supporting a polarisation-dependent network.
-
-    For identical H/V networks this reproduces the tritter closed form
-    (2 - r_ij^2)/9; with distinct blocks the marginals generally pick up a
-    dependence on the preparation's collective phase.
-    """
-    net_h = network if network is not None else balanced_tritter()
-    net_v = network_v if network_v is not None else net_h
-    pol_dependent = not np.allclose(net_h.matrix, net_v.matrix, atol=1e-14)
-    model = _PointModel(prepare(prep), purity, purity_model, net_h, net_v, pol_dependent)
-    out = {}
-    for name, pairs in (("P011", (0, 1, 1)), ("P101", (1, 0, 1)), ("P110", (1, 1, 0))):
-        out[name] = float(model.pair_distribution(pairs)[occupation_index(2, 3)[pairs]])
-    return out
 
 
 def simulate_counts(
@@ -493,10 +470,9 @@ def simulate_counts(
     }
 
     maps = _click_maps(heralded, cascade, net_h, net_v)
+    p_common = _mixing_weight(source.purity, purity_model)
     for i, prep in enumerate(preparations):
-        model = _PointModel(
-            prepare(prep), source.purity, purity_model, net_h, net_v, pol_dependent
-        )
+        model = _PointModel(prepare(prep), p_common, net_h, net_v, pol_dependent)
         counts = sum(m @ model.pair_distribution(pairs) for pairs, m in maps.items())
         for name, value in zip(series, counts / herald_norm):
             series[name][i] = value

@@ -1,6 +1,6 @@
 """Exact output-event probabilities for partially distinguishable photons.
 
-One engine, :func:`columns_distribution`, evaluates the double permutation sum
+One engine, :func:`_columns_distribution`, evaluates the double permutation sum
 
     P(s) = (prod_j s_j!)^-1 * sum_{sigma, rho in S_n}
            prod_k M[k, sigma(k)] * conj(M[k, rho(k)]) * S[sigma(k), rho(k)]
@@ -9,11 +9,12 @@ for every output occupation s at once, where M repeats row j of the photon
 columns (one column per photon) exactly s_j times and S is the Gram matrix
 of internal states.  Photons sharing an input mode and
 internal state divide the sum by the input-occupation factorials as well.
+The engine trusts the Gram entries it is given; its callers validate them.
 :func:`event_distribution` and :func:`event_probability` are its front ends
-for one photon per input of a network.  Closed forms for the balanced
+for one photon per input of a network, and check their Gram matrix through
+:class:`~triphoton.modes.GramMatrix`.  Closed forms for the balanced
 beamsplitter and tritter are provided and must agree with the engine to near
-machine precision.  :func:`permanent`, a direct enumeration for the 3x3
-matrices of the mixed-state trace formulas, is not on the engine's path.
+machine precision.
 """
 
 from __future__ import annotations
@@ -98,26 +99,6 @@ def balanced_beamsplitter() -> Network:
     return Network(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
 
 
-def permanent(matrix: np.ndarray) -> complex:
-    """Permanent of a square complex matrix by direct enumeration of permutations.
-
-    Costs n! products; meant for the 3x3 matrices of the trace formulas.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("permanent requires a square matrix")
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        p = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            p *= a[i, j]
-        total += p
-    return total
-
-
 def output_occupations(n: int, m: int) -> list[tuple[int, ...]]:
     """All occupations of n photons over m output modes, lexicographic."""
     if m == 1:
@@ -127,12 +108,6 @@ def output_occupations(n: int, m: int) -> list[tuple[int, ...]]:
         for rest in output_occupations(n - first, m - 1):
             out.append((first,) + rest)
     return sorted(out)
-
-
-def _gram_entries(g) -> np.ndarray:
-    if isinstance(g, GramMatrix):
-        return g.entries
-    return GramMatrix(np.asarray(g, dtype=complex)).entries
 
 
 def _occupation_factor(occupation: tuple[int, ...]) -> float:
@@ -169,8 +144,9 @@ def event_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Probabilities of every output occupation, one photon per listed input mode.
 
-    Dict front end of :func:`columns_distribution` on the inputs' columns of
-    the network matrix.
+    Dict front end of :func:`_columns_distribution` on the inputs' columns of
+    the network matrix.  ``g`` is a :class:`GramMatrix` or an array that
+    must pass its checks.
     """
     modes = tuple(int(i) for i in input_modes)
     if len(modes) < 1:
@@ -179,7 +155,8 @@ def event_distribution(
         raise DomainError("input modes must be distinct (one photon per input)")
     if any(i < 0 or i >= net.m for i in modes):
         raise DomainError("input mode index out of range")
-    probabilities = columns_distribution(net.matrix[:, modes], g, modes)
+    s = (g if isinstance(g, GramMatrix) else GramMatrix(g)).entries
+    probabilities = _columns_distribution(net.matrix[:, modes], s, modes)
     return dict(zip(_occupations(len(modes), net.m), probabilities.tolist()))
 
 
@@ -213,23 +190,23 @@ def _sum_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return perms, rows, factors
 
 
-def columns_distribution(
-    columns: np.ndarray, g, input_modes: tuple[int, ...]
+def _columns_distribution(
+    columns: np.ndarray, s: np.ndarray, input_modes: tuple[int, ...]
 ) -> np.ndarray:
     """Probabilities of every output occupation; ``columns[k, i]`` takes photon i to output k.
 
     Returned in :func:`output_occupations` order over ``columns.shape[0]``
-    outputs.  ``input_modes[i]`` is photon i's input mode.  Photons sharing a
-    mode must share one internal state, so the input norm is prod_j r_j! over
-    the mode occupations r_j.  The S-product table is built once for all
-    occupations.
+    outputs.  ``s`` holds the entries of a Gram matrix the caller has
+    validated; it is not checked again.  ``input_modes[i]`` is photon i's
+    input mode.  Photons sharing a mode must share one internal state, so the
+    input norm is prod_j r_j! over the mode occupations r_j.  The S-product
+    table is built once for all occupations.
     """
     cols = np.asarray(columns, dtype=complex)
     n = cols.shape[1]
     if n > DEFAULT_MAX_PHOTONS:
         raise SizeLimit(f"{n} photons exceeds the exact-evaluation cap of {DEFAULT_MAX_PHOTONS}")
-    s = _gram_entries(g)
-    if s.shape[0] != n or len(input_modes) != n:
+    if s.shape != (n, n) or len(input_modes) != n:
         raise DomainError("Gram matrix and input modes must match the photon number")
     perms, rows, factors = _sum_tables(n, cols.shape[0])
     # sprod[a, b] = prod_k S[perm_a(k), perm_b(k)] and
@@ -280,23 +257,3 @@ def tritter_bunched(r12: float, r23: float, r31: float, phi: float) -> dict[str,
     p021 = (1.0 - 2.0 * triple * math.cos(phi - math.pi / 3.0)) / 9.0
     return {"P300": p300, "P120_class": p120, "P021_class": p021}
 
-
-def two_photon_marginals_tritter(g) -> dict[str, float]:
-    """Two-photon coincidences for each input pair of the balanced tritter.
-
-    Each marginal is computed through the general engine with the photon pair
-    injected into the corresponding inputs and detected at the matching output
-    pair; all equal (2 - r_ij^2)/9.
-    """
-    s = _gram_entries(g)
-    if s.shape != (3, 3):
-        raise DomainError("expected the 3x3 Gram matrix of the photon triple")
-    net = balanced_tritter()
-    out = {}
-    for name, (i, j) in (("P011", (1, 2)), ("P101", (0, 2)), ("P110", (0, 1))):
-        sub = GramMatrix(s[np.ix_([i, j], [i, j])])
-        occ = [0, 0, 0]
-        occ[i] = 1
-        occ[j] = 1
-        out[name] = event_probability(net, EventSpec((i, j), tuple(occ)), sub)
-    return out

@@ -5,11 +5,14 @@ carry Tr(rho_i rho_j) and the genuine three-photon term carries the cyclic
 trace Tr(rho_1 rho_2 rho_3), paired with Hadamard-product permanents of the
 scattering matrix.  Mixedness of heralded photons is modelled on a small
 auxiliary space: a weight-p common mode shared by all photons plus a distinct
-mode per photon, with p fixed by the requested purity.
+mode per photon, with p fixed by the requested purity.  The temporal modes
+are expanded over a triangular (Gram-Schmidt) basis.
 
+This module is reference code only: no module on the computation path imports it.
 Production code evaluates every probability with the permutation-sum engine
-of :mod:`triphoton.interference`; these trace formulas are the independent
-reference that the tests check the engine's mixed-state results against.
+of :mod:`triphoton.interference` on the exact Gram matrix of each point;
+these trace formulas, the Gram-Schmidt basis and :func:`permanent` are the
+independent reference that the tests and ``validate`` check it against.
 """
 
 from __future__ import annotations
@@ -21,13 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalInconsistency
-from .interference import (
-    EventSpec,
-    Network,
-    output_occupations,
-    permanent,
-)
+from .interference import EventSpec, Network, output_occupations
 from .modes import GramMatrix, InternalState, temporal_overlap
+from .source import _mixing_weight
 
 
 @dataclass(frozen=True)
@@ -126,21 +125,6 @@ def gram_schmidt_temporal(t_overlaps: np.ndarray) -> TemporalBasis:
     return TemporalBasis(overlaps=g, coefficients=coeffs[:, :rank])
 
 
-def _mixing_weight(purity: float, model: str) -> float:
-    if not 0.0 < purity <= 1.0:
-        raise DomainError(f"purity must lie in (0, 1], got {purity}")
-    if model == "weight":
-        return purity
-    if model != "trace":
-        raise DomainError(f"unknown purity model {model!r}")
-    disc = 2.0 * purity - 1.0
-    if disc < 0.0:
-        raise DomainError(
-            "purity below 1/2 is not realisable in the two-dimensional mixedness model"
-        )
-    return 0.5 * (1.0 + math.sqrt(disc))
-
-
 def temporal_basis(states: list[InternalState]) -> TemporalBasis:
     """Triangular orthonormal basis of the states' temporal modes."""
     n = len(states)
@@ -153,16 +137,6 @@ def temporal_basis(states: list[InternalState]) -> TemporalBasis:
     return gram_schmidt_temporal(t_gram)
 
 
-def temporal_rows(states: list[InternalState]) -> np.ndarray:
-    """Unit-norm rows of :func:`temporal_basis`, one per state.
-
-    Rank truncation at near-coincident delays leaves the basis rows up to
-    1e-10 short of unit norm; every photon is a unit vector.
-    """
-    rows = temporal_basis(states).coefficients
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
 def build_densities(
     states: list[InternalState],
     purity: float,
@@ -173,10 +147,9 @@ def build_densities(
 
     Each photon's pure part (temporal x polarisation) is dressed with a
     two-level mixedness factor ``p |c><c| + (1-p) |d_i><d_i|`` where |c> is
-    common to all photons and the |d_i> are mutually orthogonal.  With the
-    default ``model="trace"``, p solves p^2 + (1-p)^2 = purity (larger root)
-    so that Tr(rho^2) equals the requested purity; ``model="weight"`` uses the
-    purity directly as the common-mode weight.
+    common to all photons and the |d_i> are mutually orthogonal; p is the
+    common-mode weight :func:`triphoton.source._mixing_weight` gives for
+    ``purity`` and ``model``.
     """
     n = len(states)
     if n < 1:
@@ -186,8 +159,11 @@ def build_densities(
     p = _mixing_weight(purity, model)
 
     # Row pairing sum_k C[i,k]*conj(C[j,k]) reproduces the temporal overlaps,
-    # matching the pairing convention of modes.overlap.
-    temp_rows = temporal_rows(states)
+    # matching the pairing convention of modes.overlap.  Rank truncation at
+    # near-coincident delays leaves the rows up to 1e-10 short of unit norm;
+    # every photon is a unit vector.
+    temp_rows = temporal_basis(states).coefficients
+    temp_rows = temp_rows / np.linalg.norm(temp_rows, axis=1, keepdims=True)
 
     mix_dim = 1 + n
     out = []
@@ -209,6 +185,26 @@ def build_density(
 ) -> InternalDensity:
     """Single-photon case of :func:`build_densities`."""
     return build_densities([pure_state], purity, model=model)[0]
+
+
+def permanent(matrix: np.ndarray) -> complex:
+    """Permanent of a square complex matrix by direct enumeration of permutations.
+
+    Costs n! products; meant for the 3x3 matrices of the trace formulas.
+    """
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError("permanent requires a square matrix")
+    n = a.shape[0]
+    if n == 0:
+        return 1.0 + 0.0j
+    total = 0.0 + 0.0j
+    for perm in itertools.permutations(range(n)):
+        p = 1.0 + 0.0j
+        for i, j in enumerate(perm):
+            p *= a[i, j]
+        total += p
+    return total
 
 
 def _cycle_trace(perm: tuple[int, ...], rhos: list[np.ndarray]) -> complex:

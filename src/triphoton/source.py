@@ -5,7 +5,8 @@ with weight proportional to lambda^(2n), contaminated by uncorrelated noise
 photons on the signal (herald) and idler sides with geometric weights.  The
 joint emission of the three sources is enumerated exactly up to a total
 photon budget and a noise-photon budget; heralding keeps the terms in which
-every signal arm fires a (non-number-resolving) detector.
+every signal arm fires a (non-number-resolving) detector.  The impurity of a
+heralded photon enters as a common-mode weight, :func:`_mixing_weight`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,28 @@ class SourceParams:
             raise DomainError("noise-photon truncation must be nonnegative")
         if not 0.0 < self.herald_efficiency <= 1.0:
             raise DomainError("herald efficiency must lie in (0, 1]")
+
+
+def _mixing_weight(purity: float, model: str) -> float:
+    """Common-mode weight p of a heralded photon of the given purity.
+
+    Each photon is modelled as ``p |c><c| + (1-p) |d_i><d_i|`` in a mixedness
+    space, with |c> shared by all photons and the |d_i> mutually orthogonal.
+    ``model="trace"`` solves p^2 + (1-p)^2 = purity (larger root), so that
+    Tr(rho^2) equals the purity; ``model="weight"`` takes the purity as p.
+    """
+    if not 0.0 < purity <= 1.0:
+        raise DomainError(f"purity must lie in (0, 1], got {purity}")
+    if model == "weight":
+        return purity
+    if model != "trace":
+        raise DomainError(f"unknown purity model {model!r}")
+    disc = 2.0 * purity - 1.0
+    if disc < 0.0:
+        raise DomainError(
+            "purity below 1/2 is not realisable in the two-dimensional mixedness model"
+        )
+    return 0.5 * (1.0 + math.sqrt(disc))
 
 
 @dataclass(frozen=True)

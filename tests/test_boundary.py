@@ -1,0 +1,37 @@
+"""Reference code stays off the production import path.
+
+``mixedstate`` (the trace formulas, the Gram-Schmidt basis, the permanent)
+and ``oracle`` (the Fock-space simulator) check the production modules; a
+production module that imported them would no longer be checked by an
+independent path.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import triphoton
+
+PACKAGE = Path(triphoton.__file__).resolve().parent
+REFERENCE = {"mixedstate", "oracle"}
+
+
+def imported_names(path: Path) -> set[str]:
+    """Dotted names of every module and name an import statement in ``path`` binds."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["interference", "experiment", "modes", "source"])
+def test_production_module_imports_no_reference_code(module):
+    names = imported_names(PACKAGE / f"{module}.py")
+    offending = sorted(n for n in names if REFERENCE & set(n.split(".")))
+    assert not offending, f"{module} imports reference code: {offending}"

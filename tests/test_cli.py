@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import triphoton
-from triphoton.cli import _resolved, load_config, main, run
+from triphoton.cli import MODE_BLOCKS, _resolved, load_config, main, run
 from triphoton.errors import ConfigError
 from triphoton.source import SourceParams
 
@@ -44,6 +44,18 @@ IDEAL_TRIAD = {
     "preparation": {"recipe": "dynamic", "sigma": 1.0},
     "grid": {"kind": "triad", "start": 0.0, "stop": 2 * math.pi, "points": 9},
     "output": "demo",
+}
+
+
+# A valid instance of every block.
+VALID_BLOCKS = {
+    "preparation": {"recipe": "dynamic"},
+    "grid": {"kind": "triad", "values": [0.5]},
+    "source": {"purity": 0.8},
+    "cascade": {"detector_efficiency": 0.9},
+    "tritter": {"h": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]},
+    "validation": {"instances": 1},
+    "qubit": {"r12": 0.5, "r23": 0.5, "r31": 0.5},
 }
 
 
@@ -117,6 +129,32 @@ class TestConfigValidation:
         assert run(path, out_dir=str(tmp_path)) == 2
         assert "$.preparation" in capsys.readouterr().err
         assert not (tmp_path / "demo_series.csv").exists()
+
+    def test_points_above_cap_rejected(self, tmp_path, capsys):
+        cfg = dict(IDEAL_TRIAD, grid={"kind": "triad", "start": 0.0, "stop": 1.0, "points": 10001})
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 2
+        assert "$.grid.points" in capsys.readouterr().err
+        assert not (tmp_path / "demo_series.csv").exists()
+
+    @pytest.mark.parametrize(
+        "mode, block",
+        [(m, b) for m in MODE_BLOCKS for b in VALID_BLOCKS if b not in MODE_BLOCKS[m]],
+    )
+    def test_block_the_mode_does_not_read_rejected(self, tmp_path, capsys, mode, block):
+        cfg = {"mode": mode, "output": "demo", block: VALID_BLOCKS[block]}
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 2
+        assert f"$.{block}: {mode} mode does not read this block" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.json"]
+
+    @pytest.mark.parametrize("mode", MODE_BLOCKS)
+    def test_resolved_echoes_only_read_blocks(self, mode):
+        config = {"mode": mode}
+        if mode == "qubit-analysis":
+            config["qubit"] = VALID_BLOCKS["qubit"]
+        expected = {"mode", "format", "output", *MODE_BLOCKS[mode]} - {"tritter"}
+        assert set(_resolved(config)) == expected
 
     def test_source_defaults_from_source_params(self):
         source = _resolved({"mode": "experiment"})["source"]

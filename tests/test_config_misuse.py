@@ -172,6 +172,14 @@ def test_bases_run():
             ),
             3,
         ),
+        # More grid points than the schema's cap of 10000.
+        (
+            dict(
+                BASES["ideal-scan triad"],
+                grid={"kind": "triad", "start": 0.0, "stop": 1.0, "points": 2**70},
+            ),
+            2,
+        ),
     ],
 )
 def test_extreme_inputs(config, code):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triphoton.errors import DomainError
 from triphoton.experiment import (
@@ -20,16 +22,26 @@ from triphoton.experiment import (
     simulate_counts,
     theta_for_phase,
     triad_scan_preparations,
-    two_photon_marginals_model,
     _cascade_matrix,
     _mode_click_probs,
     _noise_map,
     _PointModel,
 )
-from triphoton.interference import Network, balanced_tritter, output_occupations
+from triphoton.interference import (
+    Network,
+    balanced_tritter,
+    occupation_index,
+    output_occupations,
+)
 from triphoton.mixedstate import build_densities, mixed_event_distribution
-from triphoton.modes import gram_matrix, triad_phase
-from triphoton.source import SourceParams, enumerate_terms, heralded_ensemble
+from triphoton.modes import GramMatrix, gram_matrix, triad_phase
+from triphoton.oracle import random_unitary
+from triphoton.source import (
+    SourceParams,
+    _mixing_weight,
+    enumerate_terms,
+    heralded_ensemble,
+)
 
 IDEAL_SOURCE = SourceParams(
     squeezing=0.16,
@@ -208,6 +220,12 @@ class TestSimulateCounts:
         counts = simulate_counts(preps, IDEAL_SOURCE, cascade_none(1.0), x_values=taus)
         ideal = scan_delays("all_H", taus, 1.0)
         assert np.max(np.abs(counts.series["N111"] - ideal.series["P111"])) < 1e-9
+        # Near-coincident photons: both scans read the same exact Gram matrix.
+        for recipe in ("all_H", "static_pi"):
+            preps = delay_scan_preparations(recipe, [1e-5], 1.0)
+            counts = simulate_counts(preps, IDEAL_SOURCE, cascade_none(1.0))
+            ideal = scan_delays(recipe, [1e-5], 1.0)
+            assert counts.series["N111"][0] == pytest.approx(ideal.series["P111"][0], abs=1e-13)
 
     def test_click_patterns_normalised_per_point(self):
         taus = [0.0, 3.0]
@@ -287,9 +305,10 @@ def per_term_counts(preps, source, cascade, net_h, net_v):
     heralded = heralded_ensemble(enumerate_terms(source), source.herald_efficiency)
     norm = math.fsum(t.weight for t in heralded)
     pol_dependent = not np.allclose(net_h.matrix, net_v.matrix, atol=1e-14)
+    p_common = _mixing_weight(source.purity, "trace")
     out = []
     for prep in preps:
-        model = _PointModel(prepare(prep), source.purity, "trace", net_h, net_v, pol_dependent)
+        model = _PointModel(prepare(prep), p_common, net_h, net_v, pol_dependent)
         acc = {}
         for term in heralded:
             n = sum(term.pair_idlers)
@@ -348,7 +367,35 @@ class TestRunLevelMaps:
                     assert lifted[occ] == pytest.approx(p, abs=1e-12)
 
 
+@st.composite
+def branch_grams(draw):
+    """A validated Gram matrix of up to 4 photons, an idler selection and slot labels.
+
+    The photons' vectors lie within ``spread`` of one another, down to the
+    nearly coincident photons of a near-zero delay.
+    """
+    n = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, n))
+    spread = draw(st.sampled_from([1e-7, 1e-3, 1.0]))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * rank, max_size=2 * n * rank))
+    noise = (np.array(parts[: n * rank]) + 1j * np.array(parts[n * rank :])).reshape(n, rank)
+    vectors = 2.0 + spread * noise
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    g = GramMatrix(vectors @ vectors.conj().T)
+    idlers = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    slots = draw(st.lists(st.integers(0, 3), min_size=len(idlers), max_size=len(idlers)))
+    return g, idlers, np.array(slots)
+
+
 class TestPointModel:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(branch_grams())
+    def test_branch_grams_pass_validation(self, instance):
+        # What _PointModel hands the engine unchecked: the point Gram on the
+        # idlers' modes, masked to the pairs of idlers that share a slot.
+        g, idlers, slots = instance
+        GramMatrix(g.entries[np.ix_(idlers, idlers)] * (slots[:, None] == slots[None, :]))
+
     @pytest.mark.parametrize("model", ["trace", "weight"])
     @pytest.mark.parametrize("purity", [0.9, 1.0])
     def test_one_idler_terms_match_trace_formula(self, purity, model):
@@ -360,7 +407,7 @@ class TestPointModel:
         for net in (balanced_tritter(), perturbed_tritter()):
             for prep in preps:
                 states = prepare(prep)
-                point = _PointModel(states, purity, model, net, net, False)
+                point = _PointModel(states, _mixing_weight(purity, model), net, net, False)
                 densities = build_densities(states, purity, model=model)
                 for pairs in ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
                     inputs = tuple(i for i in range(3) if pairs[i])
@@ -376,22 +423,50 @@ class TestPointModel:
 
 class TestPolarizationDependence:
     def test_marginals_constant_for_uniform_tritter(self):
+        net = balanced_tritter()
         values = []
         for phi in np.linspace(0, 2 * math.pi, 7):
             prep = triad_scan_preparations([theta_for_phase(phi)], 1.0)[0]
-            values.append(two_photon_marginals_model(prep)["P110"])
+            model = _PointModel(prepare(prep), 1.0, net, net, False)
+            values.append(model.pair_distribution((1, 1, 0))[occupation_index(2, 3)[(1, 1, 0)]])
         assert np.ptp(values) < 1e-12
         assert values[0] == pytest.approx(7 / 36, abs=1e-12)
 
     def test_marginals_vary_for_split_tritter(self):
-        net_v = perturbed_tritter()
+        net_h, net_v = balanced_tritter(), perturbed_tritter()
         values = []
         for phi in np.linspace(0, 2 * math.pi, 7):
             prep = triad_scan_preparations([theta_for_phase(phi)], 1.0)[0]
-            values.append(
-                two_photon_marginals_model(prep, balanced_tritter(), net_v)["P110"]
-            )
+            model = _PointModel(prepare(prep), 1.0, net_h, net_v, True)
+            values.append(model.pair_distribution((1, 1, 0))[occupation_index(2, 3)[(1, 1, 0)]])
         assert np.ptp(values) > 1e-3
+
+    def test_pair_distribution_covariant_under_output_relabelling(self):
+        # Output k of both polarisation blocks becomes output out[k].
+        rng = np.random.default_rng(53)
+        net_h, net_v = balanced_tritter(), random_unitary(rng, 3)
+        p_common = _mixing_weight(0.9, "trace")
+        preps = triad_scan_preparations([theta_for_phase(2.0)], 1.0)
+        preps += delay_scan_preparations("static_pi", [0.8], 1.0)
+        for prep in preps:
+            states = prepare(prep)
+            model = _PointModel(states, p_common, net_h, net_v, True)
+            for out in itertools.permutations(range(3)):
+                moved_h = Network(net_h.matrix[np.argsort(out)])
+                moved_v = Network(net_v.matrix[np.argsort(out)])
+                moved = _PointModel(states, p_common, moved_h, moved_v, True)
+                for pairs in itertools.product(range(3), repeat=3):
+                    if not 1 <= sum(pairs) <= 4:
+                        continue
+                    occupations = output_occupations(sum(pairs), 3)
+                    index = occupation_index(sum(pairs), 3)
+                    dist = model.pair_distribution(pairs)
+                    relabelled = moved.pair_distribution(pairs)
+                    for occ, p in zip(occupations, dist):
+                        target = [0, 0, 0]
+                        for k, s in enumerate(occ):
+                            target[out[k]] = s
+                        assert relabelled[index[tuple(target)]] == pytest.approx(p, abs=1e-12)
 
     def test_counts_differ_under_polarisation_dependence(self):
         phis = [0.0, math.pi / 2, math.pi]

@@ -12,18 +12,17 @@ from triphoton.interference import (
     Network,
     balanced_beamsplitter,
     balanced_tritter,
-    columns_distribution,
+    _columns_distribution,
     event_distribution,
     event_probability,
     _occupations,
     _sum_tables,
     occupation_index,
     output_occupations,
-    permanent,
     tritter_bunched,
     tritter_p111,
-    two_photon_marginals_tritter,
 )
+from triphoton.mixedstate import permanent
 from triphoton.modes import GramMatrix, triad_phase
 
 
@@ -46,9 +45,9 @@ def complex_matrices(rows, cols):
 
 
 @st.composite
-def network_instances(draw):
+def network_instances(draw, min_photons=1):
     """A random unitary network, distinct inputs, a Gram matrix and gauge phases."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(min_photons, 4))
     m = draw(st.integers(max(n, 2), 4))
     q, _ = np.linalg.qr(draw(complex_matrices(m, m)))  # Householder Q is always unitary
     inputs = tuple(draw(st.permutations(range(m)))[:n])
@@ -187,7 +186,7 @@ class TestEventProbability:
             per_mode = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             per_mode /= np.linalg.norm(per_mode, axis=1, keepdims=True)
             vectors = per_mode[list(modes)]
-            dist = columns_distribution(
+            dist = _columns_distribution(
                 net.matrix[:, list(modes)], vectors @ vectors.conj().T, modes
             )
             reference = evolve_and_measure(expand_from_vectors(vectors, list(modes), 3), net)
@@ -196,7 +195,7 @@ class TestEventProbability:
             for occ, p in zip(occupations, dist):
                 assert p == pytest.approx(reference.get(occ, 0.0), abs=1e-12)
         with pytest.raises(SizeLimit):
-            columns_distribution(np.ones((3, 7)), np.ones((7, 7)), (0,) * 7)
+            _columns_distribution(np.ones((3, 7)), np.ones((7, 7)), (0,) * 7)
 
     def test_occupation_index_follows_output_occupations(self):
         for n, m in ((0, 3), (2, 3), (4, 3), (3, 6)):
@@ -237,6 +236,39 @@ class TestEventProbability:
         rephased = event_distribution(net, inputs, np.outer(d, np.conj(d)) * g.entries)
         for occ, p in dist.items():
             assert rephased[occ] == pytest.approx(p, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(network_instances(min_photons=2), st.data())
+    def test_covariant_under_relabelling(self, instance, data):
+        # Input mode j becomes mode[j], output k becomes out[k], and the photons
+        # are listed in a new order with the Gram matrix permuted to match.
+        net, inputs, g, _ = instance
+        n, m = len(inputs), net.m
+        photon = data.draw(st.permutations(range(n)))
+        mode = data.draw(st.permutations(range(m)))
+        out = data.draw(st.permutations(range(m)))
+        u = np.empty_like(net.matrix)
+        u[np.ix_(out, mode)] = net.matrix
+        moved = event_distribution(
+            Network(u),
+            tuple(mode[inputs[k]] for k in photon),
+            g.entries[np.ix_(photon, photon)],
+        )
+        for occ, p in event_distribution(net, inputs, g).items():
+            target = [0] * m
+            for k, s in enumerate(occ):
+                target[out[k]] = s
+            assert moved[tuple(target)] == pytest.approx(p, abs=1e-12)
+
+    def test_invalid_gram_rejected(self):
+        net = balanced_tritter()
+        not_hermitian = np.array([[1.0, 0.2, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        not_psd = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        for g in (not_hermitian, not_psd):
+            with pytest.raises(DomainError):
+                event_distribution(net, (0, 1, 2), g)
+            with pytest.raises(DomainError):
+                event_probability(net, TRITTER_SPEC((1, 1, 1)), g)
 
     def test_monotone_limits(self):
         rng = np.random.default_rng(19)
@@ -336,20 +368,23 @@ class TestClosedForms:
 
 
 class TestTwoPhotonMarginals:
+    """Each input pair of the balanced tritter, detected at its own output pair."""
+
     def test_closed_form(self):
         rng = np.random.default_rng(43)
         for _ in range(25):
-            g = random_gram(rng)
-            e = g.entries
-            m = two_photon_marginals_tritter(g)
-            assert m["P110"] == pytest.approx((2 - abs(e[0, 1]) ** 2) / 9, abs=1e-12)
-            assert m["P101"] == pytest.approx((2 - abs(e[0, 2]) ** 2) / 9, abs=1e-12)
-            assert m["P011"] == pytest.approx((2 - abs(e[1, 2]) ** 2) / 9, abs=1e-12)
+            e = random_gram(rng).entries
+            for pair in itertools.combinations(range(3), 2):
+                occ = tuple(int(k in pair) for k in range(3))
+                sub = e[np.ix_(pair, pair)]
+                p = event_probability(balanced_tritter(), EventSpec(pair, occ), sub)
+                assert p == pytest.approx((2 - abs(e[pair]) ** 2) / 9, abs=1e-12)
 
     def test_anchors(self):
-        ones = two_photon_marginals_tritter(np.ones((3, 3)))
-        assert all(v == pytest.approx(1 / 9) for v in ones.values())
-        diag = two_photon_marginals_tritter(np.eye(3))
-        assert all(v == pytest.approx(2 / 9) for v in diag.values())
-        g = gram_with_phases((0.5, 0.5, 0.5), (0.0, 0.0, 0.0))
-        assert two_photon_marginals_tritter(g)["P110"] == pytest.approx(7 / 36)
+        half = gram_with_phases((0.5, 0.5, 0.5), (0.0, 0.0, 0.0)).entries
+        for g, expected in ((np.ones((3, 3)), 1 / 9), (np.eye(3), 2 / 9), (half, 7 / 36)):
+            for pair in itertools.combinations(range(3), 2):
+                occ = tuple(int(k in pair) for k in range(3))
+                sub = g[np.ix_(pair, pair)]
+                p = event_probability(balanced_tritter(), EventSpec(pair, occ), sub)
+                assert p == pytest.approx(expected)
