@@ -24,7 +24,6 @@ from . import __version__
 from .errors import ConfigError, NumericalInconsistency, TriphotonError
 from .experiment import (
     GRID_RECIPES,
-    IDEAL_EVENT_ORDER,
     RECIPES,
     DetectionCascade,
     ScanResult,
@@ -37,17 +36,18 @@ from .experiment import (
     theta_for_phase,
     triad_scan_preparations,
 )
-from .interference import Network
+from .interference import DEFAULT_MAX_PHOTONS, Network
 from .modes import qubit_triad_phase
 from .oracle import equivalence_report
 from .source import SourceParams
 
 VALIDATION_DEFAULTS = {"instances": 100, "seed": 20260810}
 
-# The blocks each mode reads; any other block in its configuration is an error.
+# The blocks each mode reads, with ``format`` for the modes that write a
+# series; any other block in its configuration is an error.
 MODE_BLOCKS = {
-    "ideal-scan": ("preparation", "grid"),
-    "experiment": ("preparation", "grid", "source", "cascade", "tritter"),
+    "ideal-scan": ("format", "preparation", "grid"),
+    "experiment": ("format", "preparation", "grid", "source", "cascade", "tritter"),
     "validate": ("validation",),
     "qubit-analysis": ("qubit",),
 }
@@ -92,6 +92,16 @@ CONFIG_SCHEMA = {
                 "points": {"type": "integer", "minimum": 2, "maximum": 10000},
                 "values": {"type": "array", "minItems": 1, "items": _NUMBER},
             },
+            # Explicit values or a complete range, never both.  ({"not": {}}
+            # rejects any value; unlike False, it reports the key's location.)
+            "dependentRequired": {
+                "start": ["stop", "points"],
+                "stop": ["start", "points"],
+                "points": ["start", "stop"],
+            },
+            "dependentSchemas": {
+                "values": {"properties": {k: {"not": {}} for k in ("start", "stop", "points")}}
+            },
         },
         "source": {
             "type": "object",
@@ -101,10 +111,15 @@ CONFIG_SCHEMA = {
                 "purity": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "p_noise_idler": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "p_noise_signal": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "truncation_total_photons": {"type": "integer", "minimum": 2},
+                # Beyond this budget a heralded term carries more pair idlers
+                # than the engine's photon cap.
+                "truncation_total_photons": {
+                    "type": "integer",
+                    "minimum": 2,
+                    "maximum": 2 * DEFAULT_MAX_PHOTONS + 1,
+                },
                 "truncation_noise_photons": {"type": "integer", "minimum": 0},
                 "herald_efficiency": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "purity_model": {"enum": ["trace", "weight"]},
             },
         },
         "cascade": {
@@ -144,6 +159,7 @@ CONFIG_SCHEMA = {
                 "measured_phi": _NUMBER,
                 "tolerance": {"type": "number", "exclusiveMinimum": 0},
             },
+            "dependentRequired": {"tolerance": ["measured_phi"]},
         },
         "provenance": {"type": "object"},
     },
@@ -202,12 +218,9 @@ def _defaults(cls) -> dict:
 def _resolved(config: dict) -> dict:
     """Configuration with all defaults filled in (round-trips through run())."""
     mode = config["mode"]
-    out = {
-        "mode": mode,
-        "format": config.get("format", "csv"),
-        "output": config.get("output", "run"),
-    }
+    out = {"mode": mode, "output": config.get("output", "run")}
     if mode in ("ideal-scan", "experiment"):
+        out["format"] = config.get("format", "csv")
         prep = dict(config.get("preparation", {}))
         prep.setdefault("recipe", "all_H")
         prep.setdefault("sigma", 1.0)
@@ -216,8 +229,7 @@ def _resolved(config: dict) -> dict:
         grid.setdefault("kind", "delay" if prep["recipe"] in GRID_RECIPES["delay"] else "triad")
         out["grid"] = grid
     if mode == "experiment":
-        src = {**_defaults(SourceParams), "purity_model": "trace"}
-        out["source"] = {**src, **config.get("source", {})}
+        out["source"] = {**_defaults(SourceParams), **config.get("source", {})}
         out["cascade"] = {**_defaults(DetectionCascade), **config.get("cascade", {})}
         if "tritter" in config:
             out["tritter"] = config["tritter"]
@@ -225,7 +237,8 @@ def _resolved(config: dict) -> dict:
         out["validation"] = {**VALIDATION_DEFAULTS, **config.get("validation", {})}
     if "qubit" in config:
         q = dict(config["qubit"])
-        q.setdefault("tolerance", 0.05)
+        if "measured_phi" in q:
+            q.setdefault("tolerance", 0.05)
         out["qubit"] = q
     return out
 
@@ -233,13 +246,9 @@ def _resolved(config: dict) -> dict:
 def _grid_values(grid: dict, sigma: float) -> np.ndarray:
     if "values" in grid:
         return np.asarray(grid["values"], dtype=float)
-    kind = grid["kind"]
-    if "start" in grid or "stop" in grid or "points" in grid:
-        missing = [k for k in ("start", "stop", "points") if k not in grid]
-        if missing:
-            raise ConfigError(f"$.grid: incomplete range, missing {missing}")
+    if "points" in grid:
         return np.linspace(grid["start"], grid["stop"], grid["points"])
-    if kind == "delay":
+    if grid["kind"] == "delay":
         return default_delay_grid(sigma)
     return default_phase_grid()
 
@@ -253,8 +262,8 @@ def _format_number(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_series(result: ScanResult, path: Path, fmt: str, column_order=None) -> None:
-    names = list(column_order) if column_order else sorted(result.series)
+def write_series(result: ScanResult, path: Path, fmt: str) -> None:
+    names = list(result.series)
     if fmt == "csv":
         lines = [",".join([result.x_name] + names)]
         for i, x in enumerate(result.x_values):
@@ -280,26 +289,22 @@ def _write_metadata(path: Path, resolved: dict, extra: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _run_ideal_scan(resolved: dict) -> tuple[ScanResult, list[str]]:
+def _run_ideal_scan(resolved: dict) -> ScanResult:
     prep = resolved["preparation"]
     grid = resolved["grid"]
     sigma = prep["sigma"]
     values = _grid_values(grid, sigma)
     if grid["kind"] == "delay":
-        result = scan_delays(prep["recipe"], values, sigma)
-    else:
-        result = scan_triad(values, sigma)
-    return result, list(IDEAL_EVENT_ORDER)
+        return scan_delays(prep["recipe"], values, sigma)
+    return scan_triad(values, sigma)
 
 
-def _run_experiment(resolved: dict) -> tuple[ScanResult, list[str]]:
+def _run_experiment(resolved: dict) -> ScanResult:
     prep = resolved["preparation"]
     grid = resolved["grid"]
     sigma = prep["sigma"]
     values = _grid_values(grid, sigma)
-    src_cfg = dict(resolved["source"])
-    purity_model = src_cfg.pop("purity_model")
-    source = SourceParams(**src_cfg)
+    source = SourceParams(**resolved["source"])
     cascade = DetectionCascade(
         tuple(resolved["cascade"]["splitters"]), resolved["cascade"]["detector_efficiency"]
     )
@@ -315,17 +320,7 @@ def _run_experiment(resolved: dict) -> tuple[ScanResult, list[str]]:
     else:
         preps = triad_scan_preparations([theta_for_phase(v) for v in values], sigma)
         x_name = "phi"
-    result = simulate_counts(
-        preps,
-        source,
-        cascade,
-        net_h,
-        net_v,
-        x_values=values,
-        x_name=x_name,
-        purity_model=purity_model,
-    )
-    return result, sorted(result.series)
+    return simulate_counts(preps, source, cascade, net_h, net_v, x_values=values, x_name=x_name)
 
 
 def _validate(instances: int, seed: int) -> tuple[dict, int]:
@@ -349,29 +344,25 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
     try:
         config = load_config(config_path)
         resolved = _resolved(config)
+        mode = resolved["mode"]
         if fmt:
+            if "format" not in resolved:
+                raise ConfigError(f"--format: {mode} mode writes no series")
             resolved["format"] = fmt
         directory = Path(out_dir) if out_dir else Path(".")
         directory.mkdir(parents=True, exist_ok=True)
         prefix = resolved["output"]
-        mode = resolved["mode"]
-        extra: dict = {}
 
         if mode in ("ideal-scan", "experiment"):
             kind, recipe = resolved["grid"]["kind"], resolved["preparation"]["recipe"]
             if recipe not in GRID_RECIPES[kind]:
                 scanned = " or ".join(GRID_RECIPES[kind])
                 raise ConfigError(f"$.grid.kind: a {kind} grid scans {scanned}, not {recipe!r}")
-            if mode == "ideal-scan":
-                result, order = _run_ideal_scan(resolved)
-            else:
-                result, order = _run_experiment(resolved)
-                extra["truncation_deficit"] = result.metadata.get("truncation_deficit")
-                extra["herald_probability"] = result.metadata.get("herald_probability")
-            ext = "csv" if resolved["format"] == "csv" else "json"
-            series_path = directory / f"{prefix}_series.{ext}"
-            write_series(result, series_path, resolved["format"], order)
-            _write_metadata(directory / f"{prefix}_metadata.json", resolved, extra)
+            run_scan = _run_ideal_scan if mode == "ideal-scan" else _run_experiment
+            result = run_scan(resolved)
+            series_path = directory / f"{prefix}_series.{resolved['format']}"
+            write_series(result, series_path, resolved["format"])
+            _write_metadata(directory / f"{prefix}_metadata.json", resolved, result.metadata)
             print(f"wrote {series_path}")
             return 0
 
@@ -404,7 +395,7 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
             report["distance"] = None if math.isinf(dist) else dist
         out_path = directory / f"{prefix}_qubit.json"
         out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        _write_metadata(directory / f"{prefix}_metadata.json", resolved, extra)
+        _write_metadata(directory / f"{prefix}_metadata.json", resolved, {})
         print(json.dumps(report, sort_keys=True))
         return 0
     except (ConfigError, jsonschema.ValidationError) as exc:

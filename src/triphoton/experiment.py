@@ -170,7 +170,7 @@ def default_phase_grid() -> np.ndarray:
 
 @dataclass
 class ScanResult:
-    """A scan: x-axis values, one series per event, and run metadata."""
+    """A scan: x-axis values, one series per event in output column order, and run metadata."""
 
     x_name: str
     x_values: np.ndarray
@@ -423,7 +423,7 @@ class _PointModel:
 
 
 def simulate_counts(
-    preparations: Preparation | list[Preparation],
+    preparations: list[Preparation],
     source: SourceParams,
     cascade: DetectionCascade | None = None,
     network: Network | None = None,
@@ -431,7 +431,6 @@ def simulate_counts(
     *,
     x_values=None,
     x_name: str = "index",
-    purity_model: str = "trace",
 ) -> ScanResult:
     """Heralded click-pattern probabilities of the full experiment model.
 
@@ -448,8 +447,6 @@ def simulate_counts(
     mixed-state trace formulas are the reference the tests check the engine
     against.  Series are probabilities per triple-heralded trial.
     """
-    if isinstance(preparations, Preparation):
-        preparations = [preparations]
     if cascade is None:
         cascade = cascade_none()
     net_h = network if network is not None else balanced_tritter()
@@ -470,7 +467,7 @@ def simulate_counts(
     }
 
     maps = _click_maps(heralded, cascade, net_h, net_v)
-    p_common = _mixing_weight(source.purity, purity_model)
+    p_common = _mixing_weight(source.purity)
     for i, prep in enumerate(preparations):
         model = _PointModel(prepare(prep), p_common, net_h, net_v, pol_dependent)
         counts = sum(m @ model.pair_distribution(pairs) for pairs, m in maps.items())
@@ -482,10 +479,5 @@ def simulate_counts(
         if x_values is not None
         else np.arange(n_points, dtype=float)
     )
-    metadata = {
-        "truncation_deficit": deficit,
-        "truncation_warning": deficit > 1e-2,
-        "herald_probability": herald_norm,
-        "polarization_dependent": pol_dependent,
-    }
+    metadata = {"truncation_deficit": deficit, "herald_probability": herald_norm}
     return ScanResult(x_name=x_name, x_values=xs, series=series, metadata=metadata)

@@ -137,26 +137,21 @@ def temporal_basis(states: list[InternalState]) -> TemporalBasis:
     return gram_schmidt_temporal(t_gram)
 
 
-def build_densities(
-    states: list[InternalState],
-    purity: float,
-    *,
-    model: str = "trace",
-) -> list[InternalDensity]:
+def build_densities(states: list[InternalState], purity: float) -> list[InternalDensity]:
     """Internal density matrices for partially pure photons on a shared basis.
 
     Each photon's pure part (temporal x polarisation) is dressed with a
     two-level mixedness factor ``p |c><c| + (1-p) |d_i><d_i|`` where |c> is
     common to all photons and the |d_i> are mutually orthogonal; p is the
     common-mode weight :func:`triphoton.source._mixing_weight` gives for
-    ``purity`` and ``model``.
+    ``purity``.
     """
     n = len(states)
     if n < 1:
         raise DomainError("need at least one state")
     if any(s.aux for s in states):
         raise DomainError("density construction expects states without auxiliary components")
-    p = _mixing_weight(purity, model)
+    p = _mixing_weight(purity)
 
     # Row pairing sum_k C[i,k]*conj(C[j,k]) reproduces the temporal overlaps,
     # matching the pairing convention of modes.overlap.  Rank truncation at
@@ -180,11 +175,9 @@ def build_densities(
     return out
 
 
-def build_density(
-    pure_state: InternalState, purity: float, *, model: str = "trace"
-) -> InternalDensity:
+def build_density(pure_state: InternalState, purity: float) -> InternalDensity:
     """Single-photon case of :func:`build_densities`."""
-    return build_densities([pure_state], purity, model=model)[0]
+    return build_densities([pure_state], purity)[0]
 
 
 def permanent(matrix: np.ndarray) -> complex:

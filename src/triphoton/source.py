@@ -53,20 +53,16 @@ class SourceParams:
             raise DomainError("herald efficiency must lie in (0, 1]")
 
 
-def _mixing_weight(purity: float, model: str) -> float:
+def _mixing_weight(purity: float) -> float:
     """Common-mode weight p of a heralded photon of the given purity.
 
     Each photon is modelled as ``p |c><c| + (1-p) |d_i><d_i|`` in a mixedness
     space, with |c> shared by all photons and the |d_i> mutually orthogonal.
-    ``model="trace"`` solves p^2 + (1-p)^2 = purity (larger root), so that
-    Tr(rho^2) equals the purity; ``model="weight"`` takes the purity as p.
+    p solves p^2 + (1-p)^2 = purity (larger root), so that Tr(rho^2) equals
+    the purity.
     """
     if not 0.0 < purity <= 1.0:
         raise DomainError(f"purity must lie in (0, 1], got {purity}")
-    if model == "weight":
-        return purity
-    if model != "trace":
-        raise DomainError(f"unknown purity model {model!r}")
     disc = 2.0 * purity - 1.0
     if disc < 0.0:
         raise DomainError(
@@ -101,20 +97,20 @@ def enumerate_terms(params: SourceParams) -> list[EmissionTerm]:
     p_i = params.p_noise_idler
     base = ((1.0 - lam2) * (1.0 - p_s) * (1.0 - p_i)) ** N_SOURCES
     n_budget = params.truncation_total_photons
-    noise_budget = params.truncation_noise_photons
+    # Noise photons count toward the total budget too.
+    noise_budget = min(params.truncation_noise_photons, n_budget)
 
     max_pairs = n_budget // 2
-    max_noise = noise_budget
     terms = []
     for pairs in product(range(max_pairs + 1), repeat=N_SOURCES):
         photons_from_pairs = 2 * sum(pairs)
         if photons_from_pairs > n_budget:
             continue
-        for signal_noise in product(range(max_noise + 1), repeat=N_SOURCES):
+        for signal_noise in product(range(noise_budget + 1), repeat=N_SOURCES):
             k_total = sum(signal_noise)
             if k_total > noise_budget or photons_from_pairs + k_total > n_budget:
                 continue
-            for idler_noise in product(range(max_noise + 1), repeat=N_SOURCES):
+            for idler_noise in product(range(noise_budget + 1), repeat=N_SOURCES):
                 l_total = sum(idler_noise)
                 if k_total + l_total > noise_budget:
                     continue

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import triphoton
-from triphoton.cli import MODE_BLOCKS, _resolved, load_config, main, run
+from triphoton.cli import CONFIG_SCHEMA, MODE_BLOCKS, _resolved, load_config, main, run
 from triphoton.errors import ConfigError
-from triphoton.source import SourceParams
+from triphoton.experiment import DetectionCascade
+from triphoton.interference import DEFAULT_MAX_PHOTONS
+from triphoton.source import SourceParams, enumerate_terms, heralded_ensemble
 
 
 def write_config(path, payload):
@@ -153,12 +155,80 @@ class TestConfigValidation:
         config = {"mode": mode}
         if mode == "qubit-analysis":
             config["qubit"] = VALID_BLOCKS["qubit"]
-        expected = {"mode", "format", "output", *MODE_BLOCKS[mode]} - {"tritter"}
+        expected = {"mode", "output", *MODE_BLOCKS[mode]} - {"tritter"}
         assert set(_resolved(config)) == expected
 
     def test_source_defaults_from_source_params(self):
         source = _resolved({"mode": "experiment"})["source"]
-        assert source == {**dataclasses.asdict(SourceParams()), "purity_model": "trace"}
+        assert source == dataclasses.asdict(SourceParams())
+
+    def test_tolerance_resolved_only_with_measured_phi(self):
+        qubit = VALID_BLOCKS["qubit"]
+        assert _resolved({"mode": "qubit-analysis", "qubit": qubit})["qubit"] == qubit
+        measured = dict(qubit, measured_phi=1.0)
+        resolved = _resolved({"mode": "qubit-analysis", "qubit": measured})["qubit"]
+        assert resolved == dict(measured, tolerance=0.05)
+
+    @pytest.mark.parametrize(
+        "cfg, location",
+        [
+            ({"mode": "experiment", "source": {"purity_model": "trace"}}, "'purity_model'"),
+            ({"mode": "validate", "format": "csv"}, "$.format: validate mode"),
+            (
+                {"mode": "qubit-analysis", "format": "json", "qubit": VALID_BLOCKS["qubit"]},
+                "$.format: qubit-analysis mode",
+            ),
+            (
+                dict(IDEAL_TRIAD, grid={**IDEAL_TRIAD["grid"], "values": [0.0]}),
+                "$.grid.start",
+            ),
+            (
+                dict(IDEAL_TRIAD, grid={"kind": "triad", "start": 0.0, "points": 5}),
+                "$.grid: 'stop'",
+            ),
+            (
+                {"mode": "qubit-analysis", "qubit": dict(VALID_BLOCKS["qubit"], tolerance=0.1)},
+                "$.qubit: 'measured_phi'",
+            ),
+            (
+                {"mode": "experiment", "source": {"truncation_total_photons": 14}},
+                "$.source.truncation_total_photons",
+            ),
+            (
+                {"mode": "experiment", "source": {"truncation_total_photons": 10**9}},
+                "$.source.truncation_total_photons",
+            ),
+        ],
+    )
+    def test_ignored_or_unrunnable_input_rejected(self, tmp_path, capsys, cfg, location):
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 2
+        assert location in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.json"]
+
+    @pytest.mark.parametrize(
+        "cfg", [{"mode": "validate"}, {"mode": "qubit-analysis", "qubit": VALID_BLOCKS["qubit"]}]
+    )
+    def test_format_flag_rejected_without_series(self, tmp_path, capsys, cfg):
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path), fmt="json") == 2
+        assert f"--format: {cfg['mode']} mode writes no series" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.json"]
+
+    def test_photon_budget_cap_is_the_engine_cap(self):
+        # The largest pair-idler count among heralded terms grows by one per
+        # two photons of budget; the cap is the last budget the engine runs.
+        source = CONFIG_SCHEMA["properties"]["source"]["properties"]
+        cap = source["truncation_total_photons"]["maximum"]
+
+        def most_pair_idlers(budget):
+            terms = enumerate_terms(
+                SourceParams(truncation_total_photons=budget, truncation_noise_photons=0)
+            )
+            return max(sum(t.pair_idlers) for t in heralded_ensemble(terms, 0.5))
+
+        assert most_pair_idlers(cap) == DEFAULT_MAX_PHOTONS
+        assert most_pair_idlers(cap + 1) == DEFAULT_MAX_PHOTONS + 1
 
 
 class TestIdealScanRun:
@@ -241,6 +311,8 @@ class TestExperimentRun:
         header, rows = read_csv(tmp_path / "exp_series.csv")
         assert header[0] == "tau"
         assert "N210" in header
+        patterns = DetectionCascade(tuple(cfg["cascade"]["splitters"])).patterns()
+        assert header[1:] == ["N" + "".join(map(str, p)) for p in patterns]
         n210 = rows[:, header.index("N210")]
         assert n210[1] > n210[0] > 0  # suppression at zero delay
         meta = json.loads((tmp_path / "exp_metadata.json").read_text())

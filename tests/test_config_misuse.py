@@ -3,10 +3,12 @@
 Each example starts from a small valid configuration and applies one to three
 mutations read off ``CONFIG_SCHEMA``: drop a key or list item, add a key the
 schema does not know (the keys earlier versions accepted among them), or swap
-in a value of the wrong type or out of the schema's range.  Experiment mode is
-left out: a mutated photon budget can run for minutes.
+in a value of the wrong type or out of the schema's range.  The schema caps
+the photon budget, so no mutated experiment runs longer than a default-budget
+run of the default grid.
 """
 
+import cmath
 import copy
 import json
 import math
@@ -18,6 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triphoton.cli import CONFIG_SCHEMA, run
+
+
+def _tritter(phases):
+    """Balanced tritter with input phase shifts, as nested [re, im] pairs."""
+    zeta = cmath.exp(2j * math.pi / 3)
+    return [
+        [
+            [z.real, z.imag]
+            for z in (zeta ** (j * k) * cmath.exp(1j * phases[k]) / math.sqrt(3) for k in range(3))
+        ]
+        for j in range(3)
+    ]
+
 
 BASES = {
     "ideal-scan triad": {
@@ -43,6 +58,16 @@ BASES = {
         "mode": "validate",
         "validation": {"instances": 3, "seed": 7},
         "output": "m",
+    },
+    "experiment": {
+        "mode": "experiment",
+        "preparation": {"recipe": "static_pi", "sigma": 1.0},
+        "grid": {"kind": "delay", "values": [0.0, 1.5]},
+        "source": {"truncation_total_photons": 6, "truncation_noise_photons": 1},
+        "cascade": {"splitters": ["beamsplitter_2way", "none", "tritter_3way"]},
+        "tritter": {"h": _tritter([0.0, 0.0, 0.0]), "v": _tritter([0.4, 1.9, 3.1])},
+        "output": "m",
+        "format": "csv",
     },
 }
 
@@ -190,3 +215,4 @@ test_mutated_ideal_triad_scan = _misuse_property(BASES["ideal-scan triad"])
 test_mutated_ideal_delay_scan = _misuse_property(BASES["ideal-scan delay"])
 test_mutated_qubit_analysis = _misuse_property(BASES["qubit-analysis"])
 test_mutated_validate = _misuse_property(BASES["validate"])
+test_mutated_experiment = _misuse_property(BASES["experiment"])

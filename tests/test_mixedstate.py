@@ -115,12 +115,6 @@ class TestBuildDensity:
         p = 0.5 * (1.0 + math.sqrt(2 * 0.8 - 1))
         assert kappa.real == pytest.approx(p**3, abs=1e-12)
 
-    def test_weight_model(self):
-        state = prepare(Preparation("all_H"))[0]
-        rho = build_density(state, 0.9, model="weight")
-        # common-mode weight used directly: Tr rho^2 = p^2 + (1-p)^2
-        assert rho.purity() == pytest.approx(0.9**2 + 0.1**2, abs=1e-12)
-
     @pytest.mark.parametrize("recipe", ["all_H", "static_pi"])
     def test_unit_trace_at_near_coincident_delays(self, recipe):
         # Rank truncation of the temporal basis leaves its rows short of unit

@@ -62,6 +62,12 @@ class TestEnumerateTerms:
     def test_deficit_small_at_nominal_parameters(self):
         assert truncation_deficit(enumerate_terms(NOMINAL)) < 1e-3
 
+    def test_noise_budget_beyond_total_budget(self):
+        # Noise photons count toward the total, so a noise budget above it
+        # keeps exactly the terms of a noise budget equal to it.
+        capped = enumerate_terms(SourceParams(truncation_noise_photons=8))
+        assert enumerate_terms(SourceParams(truncation_noise_photons=60)) == capped
+
     def test_deterministic_ordering(self):
         terms = enumerate_terms(NOMINAL)
         keys = [(t.pairs, t.signal_noise, t.idler_noise) for t in terms]
