@@ -21,20 +21,18 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NumericalInconsistency, TriphotonError
+from .errors import ConfigError, DomainError, NumericalInconsistency, TriphotonError
 from .experiment import (
     GRID_RECIPES,
     RECIPES,
+    SPLITTER_LEAVES,
     DetectionCascade,
     ScanResult,
+    _ideal_scan,
     default_delay_grid,
     default_phase_grid,
-    delay_scan_preparations,
-    scan_delays,
-    scan_triad,
+    scan_preparations,
     simulate_counts,
-    theta_for_phase,
-    triad_scan_preparations,
 )
 from .interference import DEFAULT_MAX_PHOTONS, Network
 from .modes import qubit_triad_phase
@@ -86,7 +84,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["delay", "triad"]},
+                "kind": {"enum": list(GRID_RECIPES)},
                 "start": _NUMBER,
                 "stop": _NUMBER,
                 "points": {"type": "integer", "minimum": 2, "maximum": 10000},
@@ -108,7 +106,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "squeezing": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "purity": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+                # The mixedness model realises no purity below 1/2.
+                "purity": {"type": "number", "minimum": 0.5, "maximum": 1},
                 "p_noise_idler": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "p_noise_signal": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 # Beyond this budget a heralded term carries more pair idlers
@@ -130,7 +129,7 @@ CONFIG_SCHEMA = {
                     "type": "array",
                     "minItems": 3,
                     "maxItems": 3,
-                    "items": {"enum": ["none", "beamsplitter_2way", "tritter_3way"]},
+                    "items": {"enum": list(SPLITTER_LEAVES)},
                 },
                 "detector_efficiency": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             },
@@ -289,21 +288,17 @@ def _write_metadata(path: Path, resolved: dict, extra: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _run_ideal_scan(resolved: dict) -> ScanResult:
+def _run_scan(resolved: dict) -> ScanResult:
+    """The ideal or noisy model on the preparations of the configured grid."""
     prep = resolved["preparation"]
     grid = resolved["grid"]
-    sigma = prep["sigma"]
-    values = _grid_values(grid, sigma)
-    if grid["kind"] == "delay":
-        return scan_delays(prep["recipe"], values, sigma)
-    return scan_triad(values, sigma)
-
-
-def _run_experiment(resolved: dict) -> ScanResult:
-    prep = resolved["preparation"]
-    grid = resolved["grid"]
-    sigma = prep["sigma"]
-    values = _grid_values(grid, sigma)
+    values = _grid_values(grid, prep["sigma"])
+    try:
+        preps, x_name = scan_preparations(grid["kind"], prep["recipe"], values, prep["sigma"])
+    except DomainError as exc:
+        raise ConfigError(f"$.grid.kind: {exc}") from exc
+    if resolved["mode"] == "ideal-scan":
+        return _ideal_scan(preps, x_name, values)
     source = SourceParams(**resolved["source"])
     cascade = DetectionCascade(
         tuple(resolved["cascade"]["splitters"]), resolved["cascade"]["detector_efficiency"]
@@ -314,12 +309,6 @@ def _run_experiment(resolved: dict) -> ScanResult:
             net_h = _parse_matrix(resolved["tritter"]["h"])
         if "v" in resolved["tritter"]:
             net_v = _parse_matrix(resolved["tritter"]["v"])
-    if grid["kind"] == "delay":
-        preps = delay_scan_preparations(prep["recipe"], values, sigma)
-        x_name = "tau"
-    else:
-        preps = triad_scan_preparations([theta_for_phase(v) for v in values], sigma)
-        x_name = "phi"
     return simulate_counts(preps, source, cascade, net_h, net_v, x_values=values, x_name=x_name)
 
 
@@ -349,17 +338,14 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
             if "format" not in resolved:
                 raise ConfigError(f"--format: {mode} mode writes no series")
             resolved["format"] = fmt
+        # Made only once a run has something to write: a rejected run leaves
+        # no directory behind.
         directory = Path(out_dir) if out_dir else Path(".")
-        directory.mkdir(parents=True, exist_ok=True)
         prefix = resolved["output"]
 
         if mode in ("ideal-scan", "experiment"):
-            kind, recipe = resolved["grid"]["kind"], resolved["preparation"]["recipe"]
-            if recipe not in GRID_RECIPES[kind]:
-                scanned = " or ".join(GRID_RECIPES[kind])
-                raise ConfigError(f"$.grid.kind: a {kind} grid scans {scanned}, not {recipe!r}")
-            run_scan = _run_ideal_scan if mode == "ideal-scan" else _run_experiment
-            result = run_scan(resolved)
+            result = _run_scan(resolved)
+            directory.mkdir(parents=True, exist_ok=True)
             series_path = directory / f"{prefix}_series.{resolved['format']}"
             write_series(result, series_path, resolved["format"])
             _write_metadata(directory / f"{prefix}_metadata.json", resolved, result.metadata)
@@ -369,6 +355,7 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
         if mode == "validate":
             val = resolved["validation"]
             report, code = _validate(val["instances"], val["seed"])
+            directory.mkdir(parents=True, exist_ok=True)
             _write_metadata(directory / f"{prefix}_metadata.json", resolved, report)
             return code
 
@@ -393,6 +380,7 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
             report["measured_phi"] = q["measured_phi"]
             report["compatible_with_qubit"] = bool(dist <= q["tolerance"])
             report["distance"] = None if math.isinf(dist) else dist
+        directory.mkdir(parents=True, exist_ok=True)
         out_path = directory / f"{prefix}_qubit.json"
         out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         _write_metadata(directory / f"{prefix}_metadata.json", resolved, {})

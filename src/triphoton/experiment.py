@@ -5,9 +5,10 @@ and collective-phase scans, threshold-detector cascades with pseudo-number
 resolution, and the full noisy simulation that folds in higher-order pair
 emission, noise photons, impurity and detection efficiency.
 
-``GRID_RECIPES``, the one owner of the pairing of scan grids and recipes, is
-read by the configuration schema and the scan builders.  A preparation has no
-carrier frequency: a common carrier only re-phases the Gram matrix.
+``GRID_RECIPES`` pairs scan grids with recipes; the configuration schema
+reads it, and :func:`scan_preparations`, the one path from a grid to its
+preparations, enforces it.  A preparation has no carrier frequency: a common
+carrier only re-phases the Gram matrix.
 """
 
 from __future__ import annotations
@@ -136,9 +137,6 @@ def theta_for_phase(phi: float) -> float:
 
 def delay_scan_preparations(recipe: str, tau_values, sigma: float) -> list[Preparation]:
     """Symmetric delay scan: t1 = -tau/2, t2 = 0, t3 = +tau/2."""
-    if recipe not in GRID_RECIPES["delay"]:
-        scanned = " and ".join(GRID_RECIPES["delay"])
-        raise DomainError(f"delay scans are defined for the {scanned} recipes, not {recipe!r}")
     return [
         Preparation(recipe, delays=(-0.5 * float(tau), 0.0, 0.5 * float(tau)), sigma=sigma)
         for tau in tau_values
@@ -156,6 +154,23 @@ def triad_scan_preparations(theta_values, sigma: float) -> list[Preparation]:
         )
         for theta in theta_values
     ]
+
+
+def scan_preparations(
+    kind: str, recipe: str, values, sigma: float
+) -> tuple[list[Preparation], str]:
+    """The preparations of a ``delay`` or ``triad`` grid, and the name of its x axis.
+
+    A grid scans only its ``GRID_RECIPES``.  Delay grids hold symmetric delays
+    ``tau``; triad grids hold collective phases ``phi``, each realised at the
+    rotation angle :func:`theta_for_phase` gives.
+    """
+    if recipe not in GRID_RECIPES.get(kind, ()):
+        scanned = " or ".join(GRID_RECIPES.get(kind, ())) or "no recipe"
+        raise DomainError(f"a {kind} grid scans {scanned}, not {recipe!r}")
+    if kind == "delay":
+        return delay_scan_preparations(recipe, values, sigma), "tau"
+    return triad_scan_preparations([theta_for_phase(float(v)) for v in values], sigma), "phi"
 
 
 def default_delay_grid(sigma: float) -> np.ndarray:
@@ -177,6 +192,10 @@ class ScanResult:
     series: dict[str, np.ndarray]
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if any(len(values) != len(self.x_values) for values in self.series.values()):
+            raise DomainError(f"every series needs one value per x value ({len(self.x_values)})")
+
 
 def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
     """Balanced-tritter events of pure photons, one per input, at every preparation.
@@ -190,7 +209,7 @@ def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
     pair_index = occupation_index(2, 3)
     series = {name: np.empty(len(preps)) for name in IDEAL_EVENT_ORDER}
     for i, prep in enumerate(preps):
-        model = _PointModel(prepare(prep), 1.0, net, net, False)
+        model = _PointModel(prepare(prep), 1.0, net, net)
         for occ, p in zip(output_occupations(3, 3), model.pair_distribution((1, 1, 1))):
             series["P" + "".join(map(str, occ))][i] = p
         for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
@@ -201,7 +220,7 @@ def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
 
 def scan_delays(recipe: str, tau_values, sigma: float) -> ScanResult:
     """Ideal-model event probabilities along a symmetric delay scan."""
-    return _ideal_scan(delay_scan_preparations(recipe, tau_values, sigma), "tau", tau_values)
+    return _ideal_scan(*scan_preparations("delay", recipe, tau_values, sigma), tau_values)
 
 
 def scan_triad(phi_values, sigma: float) -> ScanResult:
@@ -212,8 +231,7 @@ def scan_triad(phi_values, sigma: float) -> ScanResult:
     condition keeps all three overlap moduli at 1/2, so the coincidence
     follows (5/4 + cos(phi)/2)/9 while the two-photon marginals stay at 7/36.
     """
-    thetas = [theta_for_phase(float(phi)) for phi in phi_values]
-    return _ideal_scan(triad_scan_preparations(thetas, sigma), "phi", phi_values)
+    return _ideal_scan(*scan_preparations("triad", "dynamic", phi_values, sigma), phi_values)
 
 
 SPLITTER_LEAVES = {"none": 1, "beamsplitter_2way": 2, "tritter_3way": 3}
@@ -358,26 +376,24 @@ class _PointModel:
     """Per-scan-point machinery shared by all source terms.
 
     ``p_common`` is the common-mode weight of the source's mixedness model
-    (:func:`triphoton.source._mixing_weight`); 1 means pure photons.
+    (:func:`triphoton.source._mixing_weight`); 1 means pure photons.  The
+    network is polarisation dependent when ``net_h`` and ``net_v`` differ.
     """
 
     def __init__(
-        self,
-        states: list[InternalState],
-        p_common: float,
-        net_h: Network,
-        net_v: Network,
-        pol_dependent: bool,
+        self, states: list[InternalState], p_common: float, net_h: Network, net_v: Network
     ):
         self.states = states
         self.net_h = net_h
         self.net_v = net_v
-        self.pol_dependent = pol_dependent
+        self.pol_dependent = net_h is not net_v and not np.allclose(
+            net_h.matrix, net_v.matrix, atol=1e-14
+        )
         self.p_common = p_common
         # The one validated Gram matrix of the point: the sources' pure internal
         # states, or only their temporal modes when a polarisation-dependent
         # network carries polarisation in the mode instead (see _column).
-        if pol_dependent:
+        if self.pol_dependent:
             states = [InternalState(s.temporal) for s in states]
         self.overlaps = gram_matrix(states).entries
 
@@ -451,7 +467,6 @@ def simulate_counts(
         cascade = cascade_none()
     net_h = network if network is not None else balanced_tritter()
     net_v = network_v if network_v is not None else net_h
-    pol_dependent = not np.allclose(net_h.matrix, net_v.matrix, atol=1e-14)
 
     terms = enumerate_terms(source)
     deficit = truncation_deficit(terms)
@@ -469,7 +484,7 @@ def simulate_counts(
     maps = _click_maps(heralded, cascade, net_h, net_v)
     p_common = _mixing_weight(source.purity)
     for i, prep in enumerate(preparations):
-        model = _PointModel(prepare(prep), p_common, net_h, net_v, pol_dependent)
+        model = _PointModel(prepare(prep), p_common, net_h, net_v)
         counts = sum(m @ model.pair_distribution(pairs) for pairs, m in maps.items())
         for name, value in zip(series, counts / herald_norm):
             series[name][i] = value

@@ -61,14 +61,9 @@ def _mixing_weight(purity: float) -> float:
     p solves p^2 + (1-p)^2 = purity (larger root), so that Tr(rho^2) equals
     the purity.
     """
-    if not 0.0 < purity <= 1.0:
-        raise DomainError(f"purity must lie in (0, 1], got {purity}")
-    disc = 2.0 * purity - 1.0
-    if disc < 0.0:
-        raise DomainError(
-            "purity below 1/2 is not realisable in the two-dimensional mixedness model"
-        )
-    return 0.5 * (1.0 + math.sqrt(disc))
+    if not 0.5 <= purity <= 1.0:
+        raise DomainError(f"the mixedness model realises purities in [1/2, 1], not {purity}")
+    return 0.5 * (1.0 + math.sqrt(2.0 * purity - 1.0))
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,6 @@ def enumerate_terms(params: SourceParams) -> list[EmissionTerm]:
                 if weight == 0.0:
                     continue
                 terms.append(EmissionTerm(pairs, signal_noise, idler_noise, weight))
-    terms.sort(key=lambda t: (t.pairs, t.signal_noise, t.idler_noise))
     return terms
 
 

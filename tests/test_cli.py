@@ -230,6 +230,28 @@ class TestConfigValidation:
         assert most_pair_idlers(cap) == DEFAULT_MAX_PHOTONS
         assert most_pair_idlers(cap + 1) == DEFAULT_MAX_PHOTONS + 1
 
+    @pytest.mark.parametrize(
+        "cfg, code, location",
+        [
+            (dict(IDEAL_TRIAD, grid={"kind": "delay", "values": [0.0]}), 2, "$.grid.kind"),
+            (
+                {"mode": "experiment", "preparation": {"recipe": "all_H"}, "grid": {"kind": "triad"}},
+                2,
+                "$.grid.kind",
+            ),
+            ({"mode": "experiment", "source": {"purity": 0.3}}, 2, "$.source.purity"),
+            ({"mode": "qubit-analysis"}, 2, "requires a 'qubit' block"),
+            # A denormal width fails inside the run, not in the schema.
+            ({"mode": "ideal-scan", "preparation": {"sigma": 1e-320}}, 3, "numerical"),
+        ],
+    )
+    def test_rejected_run_writes_nothing(self, tmp_path, capsys, cfg, code, location):
+        path = write_config(tmp_path / "bad.json", cfg)
+        out_dir = tmp_path / "new" / "sub"
+        assert run(path, out_dir=str(out_dir)) == code
+        assert location in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.json"]
+
 
 class TestIdealScanRun:
     def test_csv_columns_and_values(self, tmp_path):

@@ -10,6 +10,7 @@ from triphoton.errors import DomainError
 from triphoton.experiment import (
     DetectionCascade,
     Preparation,
+    ScanResult,
     cascade_beamsplitters_1_3,
     cascade_none,
     cascade_tritter_1,
@@ -18,6 +19,7 @@ from triphoton.experiment import (
     phase_for_theta,
     prepare,
     scan_delays,
+    scan_preparations,
     scan_triad,
     simulate_counts,
     theta_for_phase,
@@ -168,6 +170,29 @@ class TestIdealScans:
             scan_delays("dynamic", [0.0], 1.0)
 
 
+class TestScanPreparations:
+    def test_delay_grid(self):
+        preps, x_name = scan_preparations("delay", "static_pi", [-1.0, 2.0], 1.3)
+        assert x_name == "tau"
+        assert preps == delay_scan_preparations("static_pi", [-1.0, 2.0], 1.3)
+
+    def test_triad_grid_realises_each_phase(self):
+        phis = [0.0, 2.0, 5.5]
+        preps, x_name = scan_preparations("triad", "dynamic", phis, 0.7)
+        assert x_name == "phi"
+        assert preps == triad_scan_preparations([theta_for_phase(p) for p in phis], 0.7)
+        for phi, prep in zip(phis, preps):
+            assert phase_for_theta(prep.theta) == pytest.approx(phi, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, recipe",
+        [("delay", "dynamic"), ("triad", "all_H"), ("triad", "static_pi"), ("phase", "all_H")],
+    )
+    def test_unscanned_pairing_rejected(self, kind, recipe):
+        with pytest.raises(DomainError, match=f"a {kind} grid scans"):
+            scan_preparations(kind, recipe, [0.0], 1.0)
+
+
 class TestCascade:
     def test_click_probs_match_enumeration(self):
         # brute force over photon fates: each photon picks a leaf and
@@ -249,6 +274,13 @@ class TestSimulateCounts:
             total = sum(counts.series.values())
             assert np.max(np.abs(total - 1.0)) < 1e-12
 
+    def test_x_values_of_another_length_rejected(self):
+        preps = delay_scan_preparations("all_H", [0.0, 1.0, 2.0], 1.0)
+        with pytest.raises(DomainError, match="one value per x value"):
+            simulate_counts(preps, IDEAL_SOURCE, x_values=[0.0, 1.0])
+        with pytest.raises(DomainError, match="one value per x value"):
+            ScanResult("tau", np.zeros(2), {"P111": np.zeros(2), "P011": np.zeros(3)})
+
     def test_truncation_metadata(self):
         counts = simulate_counts(
             delay_scan_preparations("all_H", [0.0], 1.0),
@@ -303,11 +335,10 @@ def per_term_counts(preps, source, cascade, net_h, net_v):
     pushed occupation by occupation through the cascade."""
     heralded = heralded_ensemble(enumerate_terms(source), source.herald_efficiency)
     norm = math.fsum(t.weight for t in heralded)
-    pol_dependent = not np.allclose(net_h.matrix, net_v.matrix, atol=1e-14)
     p_common = _mixing_weight(source.purity)
     out = []
     for prep in preps:
-        model = _PointModel(prepare(prep), p_common, net_h, net_v, pol_dependent)
+        model = _PointModel(prepare(prep), p_common, net_h, net_v)
         acc = {}
         for term in heralded:
             n = sum(term.pair_idlers)
@@ -406,7 +437,7 @@ class TestPointModel:
         for net in (balanced_tritter(), perturbed_tritter()):
             for prep in preps:
                 states = prepare(prep)
-                point = _PointModel(states, _mixing_weight(purity), net, net, False)
+                point = _PointModel(states, _mixing_weight(purity), net, net)
                 densities = build_densities(states, purity)
                 for pairs in ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
                     inputs = tuple(i for i in range(3) if pairs[i])
@@ -426,7 +457,7 @@ class TestPolarizationDependence:
         values = []
         for phi in np.linspace(0, 2 * math.pi, 7):
             prep = triad_scan_preparations([theta_for_phase(phi)], 1.0)[0]
-            model = _PointModel(prepare(prep), 1.0, net, net, False)
+            model = _PointModel(prepare(prep), 1.0, net, net)
             values.append(model.pair_distribution((1, 1, 0))[occupation_index(2, 3)[(1, 1, 0)]])
         assert np.ptp(values) < 1e-12
         assert values[0] == pytest.approx(7 / 36, abs=1e-12)
@@ -436,7 +467,7 @@ class TestPolarizationDependence:
         values = []
         for phi in np.linspace(0, 2 * math.pi, 7):
             prep = triad_scan_preparations([theta_for_phase(phi)], 1.0)[0]
-            model = _PointModel(prepare(prep), 1.0, net_h, net_v, True)
+            model = _PointModel(prepare(prep), 1.0, net_h, net_v)
             values.append(model.pair_distribution((1, 1, 0))[occupation_index(2, 3)[(1, 1, 0)]])
         assert np.ptp(values) > 1e-3
 
@@ -449,11 +480,11 @@ class TestPolarizationDependence:
         preps += delay_scan_preparations("static_pi", [0.8], 1.0)
         for prep in preps:
             states = prepare(prep)
-            model = _PointModel(states, p_common, net_h, net_v, True)
+            model = _PointModel(states, p_common, net_h, net_v)
             for out in itertools.permutations(range(3)):
                 moved_h = Network(net_h.matrix[np.argsort(out)])
                 moved_v = Network(net_v.matrix[np.argsort(out)])
-                moved = _PointModel(states, p_common, moved_h, moved_v, True)
+                moved = _PointModel(states, p_common, moved_h, moved_v)
                 for pairs in itertools.product(range(3), repeat=3):
                     if not 1 <= sum(pairs) <= 4:
                         continue

@@ -217,7 +217,7 @@ class TestPairDistribution:
         net_h = balanced_tritter()
         net_v = random_unitary(rng, 3) if split else net_h
         states = prepare(triad_scan_preparations([theta_for_phase(2.0)], 1.0)[0])
-        model = _PointModel(states, _mixing_weight(purity), net_h, net_v, split)
+        model = _PointModel(states, _mixing_weight(purity), net_h, net_v)
         for pairs in product(range(5), repeat=3):
             if not 2 <= sum(pairs) <= 4:
                 continue

@@ -69,9 +69,11 @@ class TestEnumerateTerms:
         assert enumerate_terms(SourceParams(truncation_noise_photons=60)) == capped
 
     def test_deterministic_ordering(self):
-        terms = enumerate_terms(NOMINAL)
-        keys = [(t.pairs, t.signal_noise, t.idler_noise) for t in terms]
-        assert keys == sorted(keys)
+        # enumerate_terms does not sort: its loops build the terms in this order.
+        for total, noise in ((3, 0), (8, 3), (13, 7)):
+            params = SourceParams(truncation_total_photons=total, truncation_noise_photons=noise)
+            keys = [(t.pairs, t.signal_noise, t.idler_noise) for t in enumerate_terms(params)]
+            assert keys == sorted(keys)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
