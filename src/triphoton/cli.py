@@ -51,6 +51,7 @@ MODE_BLOCKS = {
 }
 
 _NUMBER = {"type": "number"}
+_MODULUS = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 _MATRIX = {
     "type": "array",
     "minItems": 3,
@@ -152,9 +153,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["r12", "r23", "r31"],
             "properties": {
-                "r12": _NUMBER,
-                "r23": _NUMBER,
-                "r31": _NUMBER,
+                "r12": _MODULUS,
+                "r23": _MODULUS,
+                "r31": _MODULUS,
                 "measured_phi": _NUMBER,
                 "tolerance": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -162,6 +163,8 @@ CONFIG_SCHEMA = {
         },
         "provenance": {"type": "object"},
     },
+    "if": {"required": ["mode"], "properties": {"mode": {"const": "qubit-analysis"}}},
+    "then": {"required": ["qubit"]},
 }
 
 
@@ -193,10 +196,11 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(raw), key=lambda e: e.json_path)
     details = [f"{e.json_path}: {e.message}" for e in errors]
-    if not details:
-        mode = raw["mode"]
+    mode = raw.get("mode") if isinstance(raw, dict) else None
+    # A list, not the dict: an unhashable mode is a schema error, not a TypeError.
+    if mode in list(MODE_BLOCKS):
         blocks = {block for read in MODE_BLOCKS.values() for block in read}
-        details = [
+        details += [
             f"$.{key}: {mode} mode does not read this block"
             for key in sorted(raw)
             if key in blocks and key not in MODE_BLOCKS[mode]
@@ -303,12 +307,13 @@ def _run_scan(resolved: dict) -> ScanResult:
     cascade = DetectionCascade(
         tuple(resolved["cascade"]["splitters"]), resolved["cascade"]["detector_efficiency"]
     )
-    net_h = net_v = None
-    if "tritter" in resolved:
-        if "h" in resolved["tritter"]:
-            net_h = _parse_matrix(resolved["tritter"]["h"])
-        if "v" in resolved["tritter"]:
-            net_v = _parse_matrix(resolved["tritter"]["v"])
+    networks = {}
+    for key, rows in resolved.get("tritter", {}).items():
+        try:
+            networks[key] = _parse_matrix(rows)
+        except DomainError as exc:
+            raise ConfigError(f"$.tritter.{key}: {exc}") from exc
+    net_h, net_v = networks.get("h"), networks.get("v")
     return simulate_counts(preps, source, cascade, net_h, net_v, x_values=values, x_name=x_name)
 
 
@@ -360,8 +365,6 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
             return code
 
         # qubit-analysis
-        if "qubit" not in resolved:
-            raise ConfigError("qubit-analysis mode requires a 'qubit' block")
         q = resolved["qubit"]
         phases = qubit_triad_phase(q["r12"], q["r23"], q["r31"])
         report = {

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalInconsistency
 from .interference import (
     Network,
     _columns_distribution,
@@ -259,18 +259,9 @@ class DetectionCascade:
 
     def click_distribution(self, occupation: tuple[int, ...]) -> dict[tuple[int, ...], float]:
         """Joint click-count probabilities given the output-mode occupation."""
-        per_mode = [
-            _mode_click_probs(n, leaves, self.detector_efficiency)
-            for n, leaves in zip(occupation, self.leaves)
-        ]
-        out = {}
-        for pattern in product(*(range(len(p)) for p in per_mode)):
-            prob = 1.0
-            for c, probs in zip(pattern, per_mode):
-                prob *= probs[c]
-            if prob > 0.0:
-                out[pattern] = prob
-        return out
+        a, beta = _click_tables(self)
+        probs = a @ np.prod(beta ** np.asarray(occupation), axis=1)
+        return {pattern: p for pattern, p in zip(self.patterns(), probs) if p > 0.0}
 
 
 def cascade_none(efficiency: float = 0.5) -> DetectionCascade:
@@ -287,55 +278,25 @@ def cascade_tritter_1(efficiency: float = 0.5) -> DetectionCascade:
     return DetectionCascade(("tritter_3way", "none", "none"), efficiency)
 
 
-@lru_cache(maxsize=4096)
-def _mode_click_probs(n: int, leaves: int, eta: float) -> tuple[float, ...]:
-    """P(c detectors click | n photons into ``leaves`` uniform threshold detectors)."""
-    probs = []
-    for c in range(leaves + 1):
-        total = 0.0
-        for j in range(c + 1):
-            base = (c - j) * eta / leaves + (1.0 - eta)
-            total += (-1.0) ** j * math.comb(c, j) * base**n
-        probs.append(math.comb(leaves, c) * total)
-    return tuple(probs)
+def _click_tables(cascade: DetectionCascade) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusion-exclusion tables ``a``, ``beta`` of the cascade's click statistics.
 
-
-def _cascade_matrix(cascade: DetectionCascade, n: int) -> np.ndarray:
-    """Click-pattern probabilities (patterns x occupations of n photons)."""
-    rows = {pattern: r for r, pattern in enumerate(cascade.patterns())}
-    occupations = occupation_index(n, 3)
-    out = np.zeros((len(rows), len(occupations)))
-    for occ, col in occupations.items():
-        for pattern, q in cascade.click_distribution(occ).items():
-            out[rows[pattern], col] = q
-    return out
-
-
-def _noise_map(
-    noise_idlers: tuple[int, int, int], n: int, net_h: Network, net_v: Network
-) -> np.ndarray:
-    """Occupations of n photons -> occupations of n + sum(noise_idlers).
-
-    Noise photons scatter independently of everything else and are
-    unpolarised: one entering input j leaves output k with probability
-    (|U_H[k, j]|^2 + |U_V[k, j]|^2) / 2.
+    c of an output's L uniform threshold leaves click for N photons with
+    probability sum_t (-1)^(c-t) C(L, c) C(c, t) (t eta / L + 1 - eta)^N
+    (Sperling, Vogel & Agarwal, PRA 85, 023820 (2012)).  So with N_o photons
+    at output o, ``P(pattern) = sum_t a[pattern, t] prod_o beta[t, o]**N_o``;
+    rows of both tables follow :meth:`DetectionCascade.patterns`.
     """
-    source = occupation_index(n, 3)
-    out = np.eye(len(source))
-    for mode, count in enumerate(noise_idlers):
-        q = 0.5 * (np.abs(net_h.matrix[:, mode]) ** 2 + np.abs(net_v.matrix[:, mode]) ** 2)
-        for _ in range(count):
-            n += 1
-            target = occupation_index(n, 3)
-            shift = np.zeros((len(target), len(source)))
-            for occ, col in source.items():
-                for k in range(3):
-                    lifted = list(occ)
-                    lifted[k] += 1
-                    shift[target[tuple(lifted)], col] += q[k]
-            out = shift @ out
-            source = target
-    return out
+    eta = cascade.detector_efficiency
+    a = np.ones((1, 1))
+    for leaves in cascade.leaves:
+        a_o = [
+            [(-1.0) ** (c - t) * math.comb(leaves, c) * math.comb(c, t) for t in range(leaves + 1)]
+            for c in range(leaves + 1)
+        ]
+        a = np.kron(a, a_o)
+    beta = np.array(cascade.patterns()) * eta / np.array(cascade.leaves) + 1.0 - eta
+    return a, beta
 
 
 def _click_maps(
@@ -343,20 +304,23 @@ def _click_maps(
 ) -> dict[tuple[int, int, int], np.ndarray]:
     """Weighted click-pattern map of every pair configuration, summed over its noise terms.
 
-    ``maps[pairs] = sum_terms weight * C[n + k] @ noise_map``: applied to the
-    pair idlers' occupation distribution it gives that configuration's share
-    of the click-pattern probabilities.  Nothing here depends on the scan point.
+    Applied to the pair idlers' distribution over ``output_occupations(n, 3)``,
+    ``maps[pairs]`` gives that configuration's share of the click patterns.  An
+    unpolarised noise photon from input i reaches output o with probability
+    ``q[o, i] = (|U_H[o, i]|^2 + |U_V[o, i]|^2) / 2`` independently of the rest,
+    so it multiplies ``prod_o beta[t, o]**N_o`` by ``g[t, i] = sum_o beta[t, o] q[o, i]``.
+    Nothing here depends on the scan point.
     """
-    cascades: dict[int, np.ndarray] = {}
-    maps: dict[tuple[int, int, int], np.ndarray] = {}
+    a, beta = _click_tables(cascade)
+    g = beta @ (0.5 * (np.abs(net_h.matrix) ** 2 + np.abs(net_v.matrix) ** 2))
+    noise: dict[tuple[int, int, int], np.ndarray] = {}
     for term in heralded:
-        n = sum(term.pair_idlers)
-        total = n + sum(term.noise_idlers)
-        if total not in cascades:
-            cascades[total] = _cascade_matrix(cascade, total)
-        noise = _noise_map(term.noise_idlers, n, net_h, net_v)
-        weighted = term.weight * (cascades[total] @ noise)
-        maps[term.pair_idlers] = maps.get(term.pair_idlers, 0.0) + weighted
+        factor = term.weight * np.prod(g ** np.asarray(term.noise_idlers), axis=1)
+        noise[term.pair_idlers] = noise.get(term.pair_idlers, 0.0) + factor
+    maps = {}
+    for pairs, factor in noise.items():
+        occupations = np.array(output_occupations(sum(pairs), 3))
+        maps[pairs] = a @ (factor[:, None] * np.prod(beta[:, None] ** occupations, axis=2))
     return maps
 
 
@@ -452,16 +416,20 @@ def simulate_counts(
 
     The model is a chain of linear maps on occupation distributions over the
     three outputs.  The noise and detection part does not depend on the scan
-    point and is built once per run: a cascade matrix (click patterns x
-    occupations) for every photon total, a shift matrix per unpolarised
-    noise photon, and from them one weighted click-pattern matrix per
-    distinct pair-idler configuration, summed over its heralded terms.  At
-    every point the permutation-sum engine gives each configuration's pair
-    idlers as a dense distribution, with source impurity as convex branches
-    over mixedness slots and a polarisation-dependent network by mode
-    doubling; the click patterns are the sum of matrix-vector products.  The
-    mixed-state trace formulas are the reference the tests check the engine
-    against.  Series are probabilities per triple-heralded trial.
+    point and is built once per run: one closed-form click-pattern matrix per
+    distinct pair-idler configuration, with its heralded terms' noise photons
+    summed in (:func:`_click_maps`).  At every point the permutation-sum
+    engine gives each configuration's pair idlers as a dense distribution,
+    with source impurity as convex branches over mixedness slots and a
+    polarisation-dependent network by mode doubling; the click patterns are
+    the sum of matrix-vector products.  The mixed-state trace formulas are
+    the reference the tests check the engine against.  Series are
+    probabilities per triple-heralded trial.
+
+    Every point's click patterns must sum to 1 within 1e-12 and stay above
+    -1e-12, else :class:`NumericalInconsistency` is raised; they are then
+    clipped into [0, 1].  The metadata reports the worst |sum - 1| and the
+    most negative value before the clip.
     """
     if cascade is None:
         cascade = cascade_none()
@@ -475,24 +443,25 @@ def simulate_counts(
     if herald_norm <= 0.0:
         raise DomainError("no source term ever heralds; increase squeezing or noise")
 
-    patterns = cascade.patterns()
-    n_points = len(preparations)
-    series = {
-        "N" + "".join(str(c) for c in pattern): np.zeros(n_points) for pattern in patterns
-    }
-
+    names = ["N" + "".join(str(c) for c in pattern) for pattern in cascade.patterns()]
     maps = _click_maps(heralded, cascade, net_h, net_v)
     p_common = _mixing_weight(source.purity)
+    counts = np.zeros((len(names), len(preparations)))
     for i, prep in enumerate(preparations):
         model = _PointModel(prepare(prep), p_common, net_h, net_v)
-        counts = sum(m @ model.pair_distribution(pairs) for pairs, m in maps.items())
-        for name, value in zip(series, counts / herald_norm):
-            series[name][i] = value
+        counts[:, i] = sum(m @ model.pair_distribution(pairs) for pairs, m in maps.items())
+    counts /= herald_norm
+    worst_total = float(np.abs(counts.sum(axis=0) - 1.0).max(initial=0.0))
+    lowest = float(counts.min(initial=0.0))
+    if lowest < -1e-12 or worst_total > 1e-12:
+        raise NumericalInconsistency(f"click sums off 1 by {worst_total:.3e}, min {lowest:.3e}")
+    series = dict(zip(names, np.clip(counts, 0.0, 1.0)))
 
     xs = (
         np.asarray(list(x_values), dtype=float)
         if x_values is not None
-        else np.arange(n_points, dtype=float)
+        else np.arange(len(preparations), dtype=float)
     )
     metadata = {"truncation_deficit": deficit, "herald_probability": herald_norm}
+    metadata.update(click_sum_max_deviation=worst_total, click_most_negative=lowest)
     return ScanResult(x_name=x_name, x_values=xs, series=series, metadata=metadata)

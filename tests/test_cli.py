@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import triphoton
+from triphoton import experiment
 from triphoton.cli import CONFIG_SCHEMA, MODE_BLOCKS, _resolved, load_config, main, run
 from triphoton.errors import ConfigError
 from triphoton.experiment import DetectionCascade
@@ -59,6 +60,8 @@ VALID_BLOCKS = {
     "validation": {"instances": 1},
     "qubit": {"r12": 0.5, "r23": 0.5, "r31": 0.5},
 }
+
+NON_UNITARY = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [2, 0]]]
 
 
 class TestConfigValidation:
@@ -198,6 +201,16 @@ class TestConfigValidation:
                 {"mode": "experiment", "source": {"truncation_total_photons": 10**9}},
                 "$.source.truncation_total_photons",
             ),
+            (
+                {"mode": "qubit-analysis", "qubit": {**VALID_BLOCKS["qubit"], "r12": 2.0}},
+                "$.qubit.r12",
+            ),
+            (
+                {"mode": "qubit-analysis", "qubit": {**VALID_BLOCKS["qubit"], "r31": 0}},
+                "$.qubit.r31",
+            ),
+            ({"mode": "experiment", "tritter": {"h": NON_UNITARY}}, "$.tritter.h"),
+            ({"mode": "experiment", "tritter": {"v": NON_UNITARY}}, "$.tritter.v"),
         ],
     )
     def test_ignored_or_unrunnable_input_rejected(self, tmp_path, capsys, cfg, location):
@@ -240,7 +253,7 @@ class TestConfigValidation:
                 "$.grid.kind",
             ),
             ({"mode": "experiment", "source": {"purity": 0.3}}, 2, "$.source.purity"),
-            ({"mode": "qubit-analysis"}, 2, "requires a 'qubit' block"),
+            ({"mode": "qubit-analysis"}, 2, "$: 'qubit' is a required property"),
             # A denormal width fails inside the run, not in the schema.
             ({"mode": "ideal-scan", "preparation": {"sigma": 1e-320}}, 3, "numerical"),
         ],
@@ -339,6 +352,33 @@ class TestExperimentRun:
         assert n210[1] > n210[0] > 0  # suppression at zero delay
         meta = json.loads((tmp_path / "exp_metadata.json").read_text())
         assert meta["provenance"]["truncation_deficit"] < 1e-3
+        assert 0.0 <= meta["provenance"]["click_sum_max_deviation"] <= 1e-12
+        assert -1e-12 <= meta["provenance"]["click_most_negative"] <= 0.0
+
+    @pytest.mark.parametrize("corruption", ["scale", "negative"])
+    def test_out_of_band_click_map_exits_3(self, tmp_path, capsys, monkeypatch, corruption):
+        # Maps off by 1e-9 break every point's normalisation (scale) or, with
+        # their column sums kept, put the last pattern at -1e-9 (negative).
+        build = experiment._click_maps
+
+        def corrupted(*args):
+            maps = build(*args)
+            for pairs, m in maps.items():
+                if corruption == "scale":
+                    maps[pairs] = m * (1.0 + 1e-9)
+                else:
+                    shift = 1e-9 * m.sum(axis=0)
+                    maps[pairs] = np.vstack([m[:1] + m[-1:] + shift, m[1:-1], -shift])
+            return maps
+
+        monkeypatch.setattr(experiment, "_click_maps", corrupted)
+        cfg = {"mode": "experiment", "grid": {"kind": "delay", "values": [0.0]}, "output": "exp"}
+        path = write_config(tmp_path / "cfg.json", cfg)
+        out_dir = tmp_path / "out"
+        assert run(path, out_dir=str(out_dir)) == 3
+        err = capsys.readouterr().err
+        assert ("off 1 by 1.0" if corruption == "scale" else "min -1.0") in err
+        assert not out_dir.exists()
 
 
 class TestOtherModes:

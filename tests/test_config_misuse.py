@@ -205,6 +205,9 @@ def test_bases_run():
             ),
             2,
         ),
+        # Overlap moduli outside (0, 1].
+        ({"mode": "qubit-analysis", "qubit": {"r12": 2.0, "r23": 0.5, "r31": 0.5}}, 2),
+        ({"mode": "qubit-analysis", "qubit": {"r12": 0, "r23": 0.5, "r31": 0.5}}, 2),
     ],
 )
 def test_extreme_inputs(config, code):

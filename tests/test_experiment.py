@@ -24,9 +24,7 @@ from triphoton.experiment import (
     simulate_counts,
     theta_for_phase,
     triad_scan_preparations,
-    _cascade_matrix,
-    _mode_click_probs,
-    _noise_map,
+    _click_maps,
     _PointModel,
 )
 from triphoton.interference import (
@@ -39,6 +37,7 @@ from triphoton.mixedstate import build_densities, mixed_event_distribution
 from triphoton.modes import GramMatrix, gram_matrix, triad_phase
 from triphoton.oracle import random_unitary
 from triphoton.source import (
+    HeraldedTerm,
     SourceParams,
     _mixing_weight,
     enumerate_terms,
@@ -195,22 +194,32 @@ class TestScanPreparations:
 
 class TestCascade:
     def test_click_probs_match_enumeration(self):
-        # brute force over photon fates: each photon picks a leaf and
-        # survives with probability eta
-        for n, leaves, eta in [(0, 2, 0.5), (1, 1, 0.7), (2, 2, 0.5), (3, 3, 0.4), (4, 2, 0.9)]:
-            probs = _mode_click_probs(n, leaves, eta)
-            brute = [0.0] * (leaves + 1)
-            for fates in itertools.product(range(leaves + 1), repeat=n):
-                w = 1.0
-                clicked = set()
-                for f in fates:
-                    if f == leaves:
-                        w *= 1.0 - eta
-                    else:
-                        w *= eta / leaves
-                        clicked.add(f)
-                brute[len(clicked)] += w
-            assert np.allclose(probs, brute, atol=1e-12)
+        # brute force over photon fates: each photon picks one leaf of its
+        # output, each with probability eta / leaves, or is lost
+        cascades = (cascade_none, cascade_beamsplitters_1_3, cascade_tritter_1)
+        for cascade, (n, eta) in itertools.product(
+            cascades, [(0, 0.5), (1, 0.7), (2, 0.5), (3, 0.4), (4, 0.9)]
+        ):
+            cas = cascade(eta)
+            for occ in output_occupations(n, 3):
+                outputs = [o for o, count in enumerate(occ) for _ in range(count)]
+                brute = {}
+                for fates in itertools.product(*(range(cas.leaves[o] + 1) for o in outputs)):
+                    w = 1.0
+                    clicked = set()
+                    for o, f in zip(outputs, fates):
+                        if f == cas.leaves[o]:
+                            w *= 1.0 - eta
+                        else:
+                            w *= eta / cas.leaves[o]
+                            clicked.add((o, f))
+                    pattern = tuple(sum(o == k for k, _ in clicked) for o in range(3))
+                    brute[pattern] = brute.get(pattern, 0.0) + w
+                probs = cas.click_distribution(occ)
+                for pattern in cas.patterns():
+                    assert probs.get(pattern, 0.0) == pytest.approx(
+                        brute.get(pattern, 0.0), abs=1e-12
+                    )
 
     def test_click_distribution_normalised(self):
         cascade = cascade_beamsplitters_1_3(0.6)
@@ -280,6 +289,30 @@ class TestSimulateCounts:
             simulate_counts(preps, IDEAL_SOURCE, x_values=[0.0, 1.0])
         with pytest.raises(DomainError, match="one value per x value"):
             ScanResult("tau", np.zeros(2), {"P111": np.zeros(2), "P011": np.zeros(3)})
+
+    @pytest.mark.parametrize("cascade", [cascade_beamsplitters_1_3(0.5), cascade_tritter_1(0.5)])
+    def test_clip_moves_no_value_by_more_than_1e_12(self, cascade):
+        # At budget 6/1 patterns of four clicks cannot occur; the closed form
+        # puts some of them at about -1e-17, which the clip sets to 0.
+        source = SourceParams(truncation_total_photons=6, truncation_noise_photons=1)
+        preps = triad_scan_preparations([theta_for_phase(0.7), theta_for_phase(3.5)], 1.0)
+        preps += delay_scan_preparations("static_pi", [0.0, 1.3], 1.0)
+        counts = simulate_counts(preps, source, cascade)
+        heralded = heralded_ensemble(enumerate_terms(source), source.herald_efficiency)
+        net = balanced_tritter()
+        maps = _click_maps(heralded, cascade, net, net)
+        p_common = _mixing_weight(source.purity)
+        raw = []
+        for prep in preps:
+            model = _PointModel(prepare(prep), p_common, net, net)
+            raw.append(sum(m @ model.pair_distribution(pairs) for pairs, m in maps.items()))
+        raw = np.array(raw).T / math.fsum(t.weight for t in heralded)
+        clipped = np.array(list(counts.series.values()))
+        assert raw.min() < 0.0
+        assert np.all((clipped >= 0.0) & (clipped <= 1.0))
+        assert np.max(np.abs(clipped - raw)) <= 1e-12
+        assert counts.metadata["click_most_negative"] == raw.min()
+        assert counts.metadata["click_sum_max_deviation"] <= 1e-12
 
     def test_truncation_metadata(self):
         counts = simulate_counts(
@@ -369,32 +402,42 @@ class TestRunLevelMaps:
                     expected.get(pattern, 0.0), abs=1e-12
                 )
 
-    def test_cascade_columns_normalised(self):
-        for cascade in (cascade_none(0.7), cascade_beamsplitters_1_3(0.6), cascade_tritter_1(0.5)):
-            for n in range(7):
-                matrix = _cascade_matrix(cascade, n)
-                assert matrix.shape == (len(cascade.patterns()), len(output_occupations(n, 3)))
-                assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) < 1e-12
-
-    def test_noise_map_matches_convolution(self):
+    def test_click_map_matches_convolution(self):
         # Heralded terms carry every placement of their noise photons with
         # the same weight, which averages the output probabilities over the
-        # inputs; each map on its own must still follow its input modes.
+        # inputs; each noise vector on its own must still follow its input
+        # modes through the network and then the cascade.
         rng = np.random.default_rng(11)
         net_h, net_v = balanced_tritter(), perturbed_tritter()
-        for noise in itertools.product(range(3), repeat=3):
+        cascades = (cascade_none(0.7), cascade_beamsplitters_1_3(0.6), cascade_tritter_1(0.5))
+        pair_configurations = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 1, 1)]
+        for cascade, noise, pairs in itertools.product(
+            cascades, itertools.product(range(3), repeat=3), pair_configurations
+        ):
             if sum(noise) > 2:
                 continue
-            for n in range(5):
-                matrix = _noise_map(noise, n, net_h, net_v)
-                assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) < 1e-12
-                occupations = output_occupations(n, 3)
-                dist = rng.dirichlet(np.ones(len(occupations)))
-                reference = convolve_noise(dict(zip(occupations, dist)), noise, net_h, net_v)
-                lifted = dict(zip(output_occupations(n + sum(noise), 3), matrix @ dist))
-                assert lifted.keys() == reference.keys()
-                for occ, p in reference.items():
-                    assert lifted[occ] == pytest.approx(p, abs=1e-12)
+            (matrix,) = _click_maps([HeraldedTerm(pairs, noise, 1.0)], cascade, net_h, net_v).values()
+            occupations = output_occupations(sum(pairs), 3)
+            dist = rng.dirichlet(np.ones(len(occupations)))
+            lifted = convolve_noise(dict(zip(occupations, dist)), noise, net_h, net_v)
+            reference = dict.fromkeys(cascade.patterns(), 0.0)
+            for occ, p in lifted.items():
+                for pattern, q in cascade.click_distribution(occ).items():
+                    reference[pattern] += p * q
+            assert np.max(np.abs(matrix @ dist - list(reference.values()))) < 1e-12
+
+    def test_click_map_columns_sum_to_heralded_weight(self):
+        net_h, net_v = balanced_tritter(), perturbed_tritter()
+        cascades = (cascade_none(0.7), cascade_beamsplitters_1_3(0.6), cascade_tritter_1(0.5))
+        for source, cascade in itertools.product(SMALL_SOURCES + (SourceParams(),), cascades):
+            heralded = heralded_ensemble(enumerate_terms(source), source.herald_efficiency)
+            maps = _click_maps(heralded, cascade, net_h, net_v)
+            assert set(maps) == {t.pair_idlers for t in heralded}
+            for pairs, matrix in maps.items():
+                weight = math.fsum(t.weight for t in heralded if t.pair_idlers == pairs)
+                occupations = output_occupations(sum(pairs), 3)
+                assert matrix.shape == (len(cascade.patterns()), len(occupations))
+                assert np.max(np.abs(matrix.sum(axis=0) - weight)) < 1e-12
 
 
 @st.composite
