@@ -71,8 +71,9 @@ CONFIG_SCHEMA = {
     "properties": {
         "mode": {"enum": list(MODE_BLOCKS)},
         "format": {"enum": ["csv", "json"]},
-        # A file name prefix; the operating system refuses a NUL in a path.
-        "output": {"type": "string", "pattern": "^[^\\x00]*$"},
+        # A file name prefix inside the output directory: no separator, so it
+        # names no other directory, and no NUL, which no path may hold.
+        "output": {"type": "string", "pattern": "^[^/\\x00]*$"},
         "preparation": {
             "type": "object",
             "additionalProperties": False,

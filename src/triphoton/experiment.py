@@ -38,7 +38,6 @@ from .source import (
     HeraldedTerm,
     SourceParams,
     _mixing_weight,
-    enumerate_terms,
     heralded_ensemble,
     truncation_deficit,
 )
@@ -415,7 +414,9 @@ def simulate_counts(
     """Heralded click-pattern probabilities of the full experiment model.
 
     The model is a chain of linear maps on occupation distributions over the
-    three outputs.  The noise and detection part does not depend on the scan
+    three outputs.  The source's heralded terms come in closed form from
+    :func:`triphoton.source.heralded_ensemble`, with no joint emission term
+    listed.  The noise and detection part does not depend on the scan
     point and is built once per run: one closed-form click-pattern matrix per
     distinct pair-idler configuration, with its heralded terms' noise photons
     summed in (:func:`_click_maps`).  At every point the permutation-sum
@@ -436,9 +437,7 @@ def simulate_counts(
     net_h = network if network is not None else balanced_tritter()
     net_v = network_v if network_v is not None else net_h
 
-    terms = enumerate_terms(source)
-    deficit = truncation_deficit(terms)
-    heralded = heralded_ensemble(terms, source.herald_efficiency)
+    heralded = heralded_ensemble(source)
     herald_norm = math.fsum(t.weight for t in heralded)
     if herald_norm <= 0.0:
         raise DomainError("no source term ever heralds; increase squeezing or noise")
@@ -462,6 +461,6 @@ def simulate_counts(
         if x_values is not None
         else np.arange(len(preparations), dtype=float)
     )
-    metadata = {"truncation_deficit": deficit, "herald_probability": herald_norm}
+    metadata = {"truncation_deficit": truncation_deficit(source), "herald_probability": herald_norm}
     metadata.update(click_sum_max_deviation=worst_total, click_most_negative=lowest)
     return ScanResult(x_name=x_name, x_values=xs, series=series, metadata=metadata)

@@ -3,17 +3,21 @@
 Each source is a two-mode squeezer of parameter ``lambda`` emitting n pairs
 with weight proportional to lambda^(2n), contaminated by uncorrelated noise
 photons on the signal (herald) and idler sides with geometric weights.  The
-joint emission of the three sources is enumerated exactly up to a total
-photon budget and a noise-photon budget; heralding keeps the terms in which
-every signal arm fires a (non-number-resolving) detector.  The impurity of a
-heralded photon enters as a common-mode weight, :func:`_mixing_weight`.
+joint emission of the three sources is truncated at a total photon budget and
+a noise-photon budget; heralding keeps the terms in which every signal arm
+fires a (non-number-resolving) detector.  :func:`heralded_ensemble` and
+:func:`truncation_deficit` sum the signal-noise counts per pair configuration
+in closed form; :func:`enumerate_terms` lists every joint term and is their
+reference.  The impurity of a heralded photon enters as a common-mode weight,
+:func:`_mixing_weight`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, product
 
 from .errors import DomainError
 
@@ -67,6 +71,91 @@ def _mixing_weight(purity: float) -> float:
 
 
 @dataclass(frozen=True)
+class HeraldedTerm:
+    """Idler-side input configuration conditioned on all three heralds firing.
+
+    ``pair_idlers[i]`` identical idler photons (the source's nominal internal
+    state) enter input mode i together with ``noise_idlers[i]`` noise photons
+    that are orthogonal to every other photon.  ``weight`` already contains
+    the emission weight times the triple-herald click probability.
+    """
+
+    pair_idlers: tuple[int, int, int]
+    noise_idlers: tuple[int, int, int]
+    weight: float
+
+
+def _pair_configurations(params: SourceParams):
+    """Every retained pair configuration, lexicographic: ``(pairs, r, weight)``.
+
+    ``r`` is the noise photons the truncation leaves it, min(noise budget,
+    total budget - 2 |pairs|), and ``weight`` the emission weight of its
+    noise-free term, base * lambda^(2 |pairs|).
+    """
+    lam2 = params.squeezing**2
+    base = ((1.0 - lam2) * (1.0 - params.p_noise_signal) * (1.0 - params.p_noise_idler)) ** N_SOURCES
+    n_budget = params.truncation_total_photons
+    noise_budget = min(params.truncation_noise_photons, n_budget)
+    for pairs in product(range(n_budget // 2 + 1), repeat=N_SOURCES):
+        photons_from_pairs = 2 * sum(pairs)
+        if photons_from_pairs <= n_budget:
+            yield pairs, min(noise_budget, n_budget - photons_from_pairs), base * lam2 ** sum(pairs)
+
+
+@lru_cache(maxsize=None)
+def _noise_vectors(budget: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    """Noise vectors l with |l| <= budget, lexicographic, each with |l|."""
+    vectors = product(range(budget + 1), repeat=N_SOURCES)
+    return tuple((l, sum(l)) for l in vectors if sum(l) <= budget)
+
+
+def heralded_ensemble(params: SourceParams) -> list[HeraldedTerm]:
+    """Weighted idler-side configurations given a click in all three herald arms.
+
+    Herald detectors are threshold detectors: with c photons in a signal arm
+    the click probability is 1 - m**c, m = 1 - eta, in every arm.  The
+    signal-noise counts k are summed in closed form.  For pairs n, the
+    polynomial C_n(z) = prod_i sum_k (1 - m**(n_i + k)) (p_s z)**k, truncated
+    at degree r, holds the heralded signal-noise weight by |k|; an idler-noise
+    vector l leaves |k| <= r - |l|, so its term weighs
+    base * lambda^(2|n|) * p_i^|l| times the coefficients of C_n up to
+    degree r - |l|.  Terms are in (pairs, idler noise) lexicographic order,
+    the merge of :func:`enumerate_terms` by that key; zero weights are dropped.
+    """
+    p_s, p_i = params.p_noise_signal, params.p_noise_idler
+    miss = 1.0 - params.herald_efficiency
+    heralded = []
+    for pairs, r, weight in _pair_configurations(params):
+        poly = [1.0] + [0.0] * r
+        for n in pairs:
+            factor = [(1.0 - miss ** (n + k)) * p_s**k for k in range(r + 1)]
+            poly = [sum(poly[j] * factor[d - j] for j in range(d + 1)) for d in range(r + 1)]
+        heralded_by_noise = list(accumulate(poly))
+        for idler_noise, l_total in _noise_vectors(r):
+            w = weight * p_i**l_total * heralded_by_noise[r - l_total]
+            if w != 0.0:
+                heralded.append(HeraldedTerm(pairs, idler_noise, w))
+    return heralded
+
+
+def truncation_deficit(params: SourceParams) -> float:
+    """Probability mass lost to the truncation, 1 - sum of retained emission weights.
+
+    C(K+2, 2) signal-noise vectors carry K photons, and likewise for idler
+    noise, so each pair configuration keeps
+    sum_{K+L <= r} C(K+2, 2) p_s^K C(L+2, 2) p_i^L times its noise-free weight.
+    """
+    p_s, p_i = params.p_noise_signal, params.p_noise_idler
+    retained = [
+        weight * math.comb(k + 2, 2) * p_s**k * math.comb(l + 2, 2) * p_i**l
+        for _, r, weight in _pair_configurations(params)
+        for k in range(r + 1)
+        for l in range(r + 1 - k)
+    ]
+    return 1.0 - math.fsum(retained)
+
+
+@dataclass(frozen=True)
 class EmissionTerm:
     """One joint emission outcome of the three sources.
 
@@ -86,7 +175,12 @@ class EmissionTerm:
 
 
 def enumerate_terms(params: SourceParams) -> list[EmissionTerm]:
-    """All retained joint emission terms, lexicographic in (pairs, signal noise, idler noise)."""
+    """All retained joint emission terms, lexicographic in (pairs, signal noise, idler noise).
+
+    The explicit reference of :func:`heralded_ensemble` and
+    :func:`truncation_deficit`, which sum these terms in closed form; no run
+    calls it.
+    """
     lam2 = params.squeezing**2
     p_s = params.p_noise_signal
     p_i = params.p_noise_idler
@@ -118,53 +212,3 @@ def enumerate_terms(params: SourceParams) -> list[EmissionTerm]:
                     continue
                 terms.append(EmissionTerm(pairs, signal_noise, idler_noise, weight))
     return terms
-
-
-def truncation_deficit(terms: list[EmissionTerm]) -> float:
-    """Probability mass lost to the truncation, 1 - sum of retained weights."""
-    return 1.0 - math.fsum(t.weight for t in terms)
-
-
-@dataclass(frozen=True)
-class HeraldedTerm:
-    """Idler-side input configuration conditioned on all three heralds firing.
-
-    ``pair_idlers[i]`` identical idler photons (the source's nominal internal
-    state) enter input mode i together with ``noise_idlers[i]`` noise photons
-    that are orthogonal to every other photon.  ``weight`` already contains
-    the emission weight times the triple-herald click probability.
-    """
-
-    pair_idlers: tuple[int, int, int]
-    noise_idlers: tuple[int, int, int]
-    weight: float
-
-
-def heralded_ensemble(terms: list[EmissionTerm], herald_efficiency: float) -> list[HeraldedTerm]:
-    """Weighted idler-side configurations given a click in all three herald arms.
-
-    Herald detectors are threshold detectors: with c photons in a signal arm
-    the click probability is 1 - (1-eta)**c, with the same efficiency eta in
-    every arm.  Terms that cannot herald (an empty signal arm) are dropped;
-    configurations differing only in signal-noise counts are merged.
-    """
-    if not 0.0 < herald_efficiency <= 1.0:
-        raise DomainError("herald efficiency must lie in (0, 1]")
-    miss = 1.0 - float(herald_efficiency)
-
-    merged: dict[tuple[tuple[int, int, int], tuple[int, int, int]], float] = {}
-    for term in terms:
-        click = 1.0
-        for i in range(N_SOURCES):
-            photons = term.pairs[i] + term.signal_noise[i]
-            click *= 1.0 - miss**photons
-            if click == 0.0:
-                break
-        if click == 0.0:
-            continue
-        key = (term.pairs, term.idler_noise)
-        merged[key] = merged.get(key, 0.0) + term.weight * click
-    return [
-        HeraldedTerm(pair_idlers=pairs, noise_idlers=noise, weight=w)
-        for (pairs, noise), w in sorted(merged.items())
-    ]

@@ -39,7 +39,7 @@ from triphoton.modes import (
     triad_phase,
 )
 from triphoton.oracle import equivalence_report
-from triphoton.source import SourceParams, enumerate_terms, truncation_deficit
+from triphoton.source import SourceParams, truncation_deficit
 
 TRITTER = balanced_tritter()
 
@@ -232,7 +232,7 @@ def test_criterion_8_noisy_model_visibility():
     source = SourceParams(
         squeezing=0.16, purity=0.9, p_noise_idler=0.035, p_noise_signal=0.009
     )
-    deficit = truncation_deficit(enumerate_terms(source))
+    deficit = truncation_deficit(source)
     assert deficit < 1e-3
 
     taus = [0.0, 24.0]

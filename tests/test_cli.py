@@ -15,7 +15,7 @@ from triphoton.cli import CONFIG_SCHEMA, MODE_BLOCKS, _resolved, load_config, ma
 from triphoton.errors import ConfigError
 from triphoton.experiment import DetectionCascade
 from triphoton.interference import DEFAULT_MAX_PHOTONS
-from triphoton.source import SourceParams, enumerate_terms, heralded_ensemble
+from triphoton.source import SourceParams, heralded_ensemble
 
 
 def write_config(path, payload):
@@ -49,6 +49,9 @@ IDEAL_TRIAD = {
     "output": "demo",
 }
 
+
+# Stands for an absolute prefix under the test's own tmp_path.
+ABSOLUTE_OUTPUT = "<absolute>"
 
 # A valid instance of every block.
 VALID_BLOCKS = {
@@ -235,10 +238,8 @@ class TestConfigValidation:
         cap = source["truncation_total_photons"]["maximum"]
 
         def most_pair_idlers(budget):
-            terms = enumerate_terms(
-                SourceParams(truncation_total_photons=budget, truncation_noise_photons=0)
-            )
-            return max(sum(t.pair_idlers) for t in heralded_ensemble(terms, 0.5))
+            source = SourceParams(truncation_total_photons=budget, truncation_noise_photons=0)
+            return max(sum(t.pair_idlers) for t in heralded_ensemble(source))
 
         assert most_pair_idlers(cap) == DEFAULT_MAX_PHOTONS
         assert most_pair_idlers(cap + 1) == DEFAULT_MAX_PHOTONS + 1
@@ -256,9 +257,15 @@ class TestConfigValidation:
             ({"mode": "qubit-analysis"}, 2, "$: 'qubit' is a required property"),
             # A denormal width fails inside the run, not in the schema.
             ({"mode": "ideal-scan", "preparation": {"sigma": 1e-320}}, 3, "numerical"),
+            # The output prefix names a file in the output directory, never a path.
+            (dict(IDEAL_TRIAD, output=ABSOLUTE_OUTPUT), 2, "$.output"),
+            (dict(IDEAL_TRIAD, output="missing/x"), 2, "$.output"),
+            (dict(IDEAL_TRIAD, output="../x"), 2, "$.output"),
         ],
     )
     def test_rejected_run_writes_nothing(self, tmp_path, capsys, cfg, code, location):
+        if cfg.get("output") == ABSOLUTE_OUTPUT:
+            cfg = dict(cfg, output=str(tmp_path / "x"))
         path = write_config(tmp_path / "bad.json", cfg)
         out_dir = tmp_path / "new" / "sub"
         assert run(path, out_dir=str(out_dir)) == code

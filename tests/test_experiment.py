@@ -14,6 +14,7 @@ from triphoton.experiment import (
     cascade_beamsplitters_1_3,
     cascade_none,
     cascade_tritter_1,
+    default_phase_grid,
     delay_condition,
     delay_scan_preparations,
     phase_for_theta,
@@ -40,7 +41,6 @@ from triphoton.source import (
     HeraldedTerm,
     SourceParams,
     _mixing_weight,
-    enumerate_terms,
     heralded_ensemble,
 )
 
@@ -293,12 +293,14 @@ class TestSimulateCounts:
     @pytest.mark.parametrize("cascade", [cascade_beamsplitters_1_3(0.5), cascade_tritter_1(0.5)])
     def test_clip_moves_no_value_by_more_than_1e_12(self, cascade):
         # At budget 6/1 patterns of four clicks cannot occur; the closed form
-        # puts some of them at about -1e-17, which the clip sets to 0.
+        # puts some of them at about -1e-17, which the clip sets to 0.  Under
+        # tritter_1 only the all_H point at zero delay lands below 0 (-5.7e-18).
         source = SourceParams(truncation_total_photons=6, truncation_noise_photons=1)
         preps = triad_scan_preparations([theta_for_phase(0.7), theta_for_phase(3.5)], 1.0)
         preps += delay_scan_preparations("static_pi", [0.0, 1.3], 1.0)
+        preps += delay_scan_preparations("all_H", [0.0], 1.0)
         counts = simulate_counts(preps, source, cascade)
-        heralded = heralded_ensemble(enumerate_terms(source), source.herald_efficiency)
+        heralded = heralded_ensemble(source)
         net = balanced_tritter()
         maps = _click_maps(heralded, cascade, net, net)
         p_common = _mixing_weight(source.purity)
@@ -313,6 +315,27 @@ class TestSimulateCounts:
         assert np.max(np.abs(clipped - raw)) <= 1e-12
         assert counts.metadata["click_most_negative"] == raw.min()
         assert counts.metadata["click_sum_max_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("budget", [(6, 1), (8, 3)])
+    @pytest.mark.parametrize(
+        "cascade", [cascade_none(0.5), cascade_tritter_1(0.5), cascade_beamsplitters_1_3(0.5)]
+    )
+    def test_triad_series_are_cosine_series(self, cascade, budget):
+        # Along the triad scan the overlap moduli stay at 1/2, so a point
+        # depends on its Gram matrix only through the cyclic product, and a
+        # configuration of n pair idlers carries harmonics up to n // 3 of the
+        # collective phase.  No oracle: every series must equal its Fourier
+        # fit of degree P // 3, P = total budget // 2 the most pair idlers.
+        total, noise = budget
+        source = SourceParams(truncation_total_photons=total, truncation_noise_photons=noise)
+        phis = default_phase_grid()
+        preps, _ = scan_preparations("triad", "dynamic", phis, 1.0)
+        counts = simulate_counts(preps, source, cascade)
+        harmonics = np.outer(phis, np.arange(1, (total // 2) // 3 + 1))
+        basis = np.column_stack([np.ones_like(phis), np.cos(harmonics), np.sin(harmonics)])
+        for name, series in counts.series.items():
+            coefficients = np.linalg.lstsq(basis, series, rcond=None)[0]
+            assert np.max(np.abs(basis @ coefficients - series)) <= 1e-12, name
 
     def test_truncation_metadata(self):
         counts = simulate_counts(
@@ -366,7 +389,7 @@ def per_term_counts(preps, source, cascade, net_h, net_v):
     """Click patterns by the per-term path: every heralded term's pair
     distribution, convolved photon by photon with its noise photons, then
     pushed occupation by occupation through the cascade."""
-    heralded = heralded_ensemble(enumerate_terms(source), source.herald_efficiency)
+    heralded = heralded_ensemble(source)
     norm = math.fsum(t.weight for t in heralded)
     p_common = _mixing_weight(source.purity)
     out = []
@@ -430,7 +453,7 @@ class TestRunLevelMaps:
         net_h, net_v = balanced_tritter(), perturbed_tritter()
         cascades = (cascade_none(0.7), cascade_beamsplitters_1_3(0.6), cascade_tritter_1(0.5))
         for source, cascade in itertools.product(SMALL_SOURCES + (SourceParams(),), cascades):
-            heralded = heralded_ensemble(enumerate_terms(source), source.herald_efficiency)
+            heralded = heralded_ensemble(source)
             maps = _click_maps(heralded, cascade, net_h, net_v)
             assert set(maps) == {t.pair_idlers for t in heralded}
             for pairs, matrix in maps.items():

@@ -1,9 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import triphoton.source
 from triphoton.errors import DomainError
+from triphoton.experiment import delay_scan_preparations, simulate_counts
 from triphoton.source import (
+    HeraldedTerm,
     SourceParams,
     enumerate_terms,
     heralded_ensemble,
@@ -18,6 +23,26 @@ def find(terms, pairs, signal_noise=(0, 0, 0), idler_noise=(0, 0, 0)):
         if (t.pairs, t.signal_noise, t.idler_noise) == (pairs, signal_noise, idler_noise):
             return t
     return None
+
+
+def reference_ensemble(params):
+    """The heralded ensemble and truncation deficit from the explicit terms.
+
+    Every joint term of enumerate_terms is thinned by its herald click
+    probability and merged by (pairs, idler noise); the deficit is 1 minus
+    the sum of all their weights.
+    """
+    terms = enumerate_terms(params)
+    miss = 1.0 - params.herald_efficiency
+    merged = {}
+    for term in terms:
+        click = math.prod(1.0 - miss ** (n + k) for n, k in zip(term.pairs, term.signal_noise))
+        if click == 0.0:
+            continue
+        key = (term.pairs, term.idler_noise)
+        merged[key] = merged.get(key, 0.0) + term.weight * click
+    heralded = [HeraldedTerm(pairs, noise, w) for (pairs, noise), w in sorted(merged.items())]
+    return heralded, 1.0 - math.fsum(t.weight for t in terms)
 
 
 class TestEnumerateTerms:
@@ -60,7 +85,7 @@ class TestEnumerateTerms:
         assert total <= 1.0 + 1e-12
 
     def test_deficit_small_at_nominal_parameters(self):
-        assert truncation_deficit(enumerate_terms(NOMINAL)) < 1e-3
+        assert truncation_deficit(NOMINAL) < 1e-3
 
     def test_noise_budget_beyond_total_budget(self):
         # Noise photons count toward the total, so a noise budget above it
@@ -92,19 +117,20 @@ class TestHeraldedEnsemble:
             p_noise_signal=0.0,
             truncation_total_photons=6,
             truncation_noise_photons=0,
+            herald_efficiency=1.0,
         )
-        heralded = heralded_ensemble(enumerate_terms(params), 1.0)
+        heralded = heralded_ensemble(params)
         assert len(heralded) == 1
         assert heralded[0].pair_idlers == (1, 1, 1)
         assert heralded[0].noise_idlers == (0, 0, 0)
         assert heralded[0].weight == pytest.approx((1 - 0.16**2) ** 3 * 0.16**6)
 
     def test_double_pair_configuration_present(self):
-        heralded = heralded_ensemble(enumerate_terms(NOMINAL), 0.5)
+        heralded = heralded_ensemble(NOMINAL)
         assert any(h.pair_idlers == (2, 1, 1) for h in heralded)
 
     def test_noise_idler_replaces_pair_idler(self):
-        heralded = heralded_ensemble(enumerate_terms(NOMINAL), 0.5)
+        heralded = heralded_ensemble(NOMINAL)
         # source 3 heralds through signal noise and delivers a noise idler
         h = [x for x in heralded if x.pair_idlers == (1, 1, 0) and x.noise_idlers == (0, 0, 1)]
         assert h
@@ -118,19 +144,65 @@ class TestHeraldedEnsemble:
             p_noise_signal=0.0,
             truncation_total_photons=6,
             truncation_noise_photons=0,
+            herald_efficiency=eta,
         )
-        heralded = heralded_ensemble(enumerate_terms(params), eta)
+        heralded = heralded_ensemble(params)
         expected = (1 - lam**2) ** 3 * lam**6 * eta**3
         assert heralded[0].weight == pytest.approx(expected, rel=1e-12)
 
     def test_unheralded_terms_dropped(self):
         params = SourceParams(squeezing=0.2, p_noise_idler=0.0, p_noise_signal=0.0)
-        heralded = heralded_ensemble(enumerate_terms(params), 0.5)
+        heralded = heralded_ensemble(params)
         assert all(min(h.pair_idlers) >= 1 or max(h.noise_idlers) > 0 for h in heralded)
         # with zero signal noise every contributing source must emit a pair
         assert all(min(h.pair_idlers) >= 1 for h in heralded)
 
     def test_efficiency_validation(self):
-        terms = enumerate_terms(NOMINAL)
         with pytest.raises(DomainError):
-            heralded_ensemble(terms, 0.0)
+            SourceParams(herald_efficiency=0.0)
+
+
+# 0, or a rate whose products stay clear of subnormal floats.
+RATES = st.one_of(st.just(0.0), st.floats(1e-3, 0.5))
+
+
+@st.composite
+def source_params(draw):
+    """Source parameters at total budgets 2-10, noise budgets above the total
+    included, rates of 0 to 0.5 and herald efficiencies in (0, 1]."""
+    return SourceParams(
+        squeezing=draw(RATES),
+        p_noise_idler=draw(RATES),
+        p_noise_signal=draw(RATES),
+        truncation_total_photons=draw(st.integers(2, 10)),
+        truncation_noise_photons=draw(st.integers(0, 12)),
+        herald_efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
+    )
+
+
+class TestClosedForm:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(source_params())
+    def test_matches_explicit_enumeration(self, params):
+        reference, deficit = reference_ensemble(params)
+        heralded = heralded_ensemble(params)
+        assert [(t.pair_idlers, t.noise_idlers) for t in heralded] == [
+            (t.pair_idlers, t.noise_idlers) for t in reference
+        ]
+        for term, ref in zip(heralded, reference):
+            assert abs(term.weight - ref.weight) <= 1e-14 * ref.weight
+        assert abs(truncation_deficit(params) - deficit) <= 1e-15
+
+        def fail(_):
+            raise AssertionError("a run enumerated the joint emission terms")
+
+        preps = delay_scan_preparations("all_H", [0.0], 1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(triphoton.source, "enumerate_terms", fail)
+            if not heralded:
+                with pytest.raises(DomainError, match="no source term ever heralds"):
+                    simulate_counts(preps, params)
+                return
+            counts = simulate_counts(preps, params)
+        assert counts.metadata["truncation_deficit"] == truncation_deficit(params)
+        assert counts.metadata["herald_probability"] == math.fsum(t.weight for t in heralded)
