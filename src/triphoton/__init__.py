@@ -90,7 +90,6 @@ from .oracle import (
 )
 from .source import (
     EmissionTerm,
-    HeraldedTerm,
     SourceParams,
     enumerate_terms,
     heralded_ensemble,

@@ -35,7 +35,6 @@ from .modes import (
     gram_matrix,
 )
 from .source import (
-    HeraldedTerm,
     SourceParams,
     _mixing_weight,
     heralded_ensemble,
@@ -299,25 +298,35 @@ def _click_tables(cascade: DetectionCascade) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _click_maps(
-    heralded: list[HeraldedTerm], cascade: DetectionCascade, net_h: Network, net_v: Network
+    heralded: dict[tuple[int, int, int], list[float]],
+    cascade: DetectionCascade,
+    net_h: Network,
+    net_v: Network,
 ) -> dict[tuple[int, int, int], np.ndarray]:
-    """Weighted click-pattern map of every pair configuration, summed over its noise terms.
+    """Weighted click-pattern map of every pair configuration, summed over its idler noise.
 
     Applied to the pair idlers' distribution over ``output_occupations(n, 3)``,
     ``maps[pairs]`` gives that configuration's share of the click patterns.  An
     unpolarised noise photon from input i reaches output o with probability
     ``q[o, i] = (|U_H[o, i]|^2 + |U_V[o, i]|^2) / 2`` independently of the rest,
     so it multiplies ``prod_o beta[t, o]**N_o`` by ``g[t, i] = sum_o beta[t, o] q[o, i]``.
+    Every idler-noise vector with L photons carries the weight ``c[L]`` of
+    :func:`triphoton.source.heralded_ensemble`, and the sum of prod_i g[t, i]**l_i
+    over those vectors is the complete homogeneous symmetric polynomial h_L
+    of the three g[t, i], so a configuration's noise factor is sum_L c[L] h_L.
     Nothing here depends on the scan point.
     """
     a, beta = _click_tables(cascade)
     g = beta @ (0.5 * (np.abs(net_h.matrix) ** 2 + np.abs(net_v.matrix) ** 2))
-    noise: dict[tuple[int, int, int], np.ndarray] = {}
-    for term in heralded:
-        factor = term.weight * np.prod(g ** np.asarray(term.noise_idlers), axis=1)
-        noise[term.pair_idlers] = noise.get(term.pair_idlers, 0.0) + factor
+    orders = max(len(c) for c in heralded.values())
+    h = np.zeros((orders, len(g)))
+    h[0] = 1.0
+    for g_i in g.T:
+        for l_total in range(1, orders):
+            h[l_total] += g_i * h[l_total - 1]
     maps = {}
-    for pairs, factor in noise.items():
+    for pairs, c in heralded.items():
+        factor = np.asarray(c) @ h[: len(c)]
         occupations = np.array(output_occupations(sum(pairs), 3))
         maps[pairs] = a @ (factor[:, None] * np.prod(beta[:, None] ** occupations, axis=2))
     return maps
@@ -414,12 +423,14 @@ def simulate_counts(
     """Heralded click-pattern probabilities of the full experiment model.
 
     The model is a chain of linear maps on occupation distributions over the
-    three outputs.  The source's heralded terms come in closed form from
-    :func:`triphoton.source.heralded_ensemble`, with no joint emission term
-    listed.  The noise and detection part does not depend on the scan
-    point and is built once per run: one closed-form click-pattern matrix per
-    distinct pair-idler configuration, with its heralded terms' noise photons
-    summed in (:func:`_click_maps`).  At every point the permutation-sum
+    three outputs.  The source's heralded weights come in closed form from
+    :func:`triphoton.source.heralded_ensemble`, one coefficient list per pair
+    configuration with no joint emission term or idler-noise vector listed;
+    the herald norm counts the C(L+2, 2) idler-noise vectors with L photons
+    at weight c[L] each.  The noise and detection part does not depend on
+    the scan point and is built once per run: one closed-form click-pattern
+    matrix per pair configuration, with its idler noise photons summed in
+    (:func:`_click_maps`).  At every point the permutation-sum
     engine gives each configuration's pair idlers as a dense distribution,
     with source impurity as convex branches over mixedness slots and a
     polarisation-dependent network by mode doubling; the click patterns are
@@ -438,7 +449,10 @@ def simulate_counts(
     net_v = network_v if network_v is not None else net_h
 
     heralded = heralded_ensemble(source)
-    herald_norm = math.fsum(t.weight for t in heralded)
+    # C(L+2, 2) idler-noise vectors of the three sources carry L photons.
+    herald_norm = math.fsum(
+        c_l * math.comb(l_total + 2, 2) for c in heralded.values() for l_total, c_l in enumerate(c)
+    )
     if herald_norm <= 0.0:
         raise DomainError("no source term ever heralds; increase squeezing or noise")
 

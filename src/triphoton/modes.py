@@ -112,10 +112,6 @@ class PolarizationState:
     def horizontal() -> "PolarizationState":
         return PolarizationState(1.0, 0.0)
 
-    @staticmethod
-    def vertical() -> "PolarizationState":
-        return PolarizationState(0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class InternalState:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, product
 
 from .errors import DomainError
@@ -70,21 +69,6 @@ def _mixing_weight(purity: float) -> float:
     return 0.5 * (1.0 + math.sqrt(2.0 * purity - 1.0))
 
 
-@dataclass(frozen=True)
-class HeraldedTerm:
-    """Idler-side input configuration conditioned on all three heralds firing.
-
-    ``pair_idlers[i]`` identical idler photons (the source's nominal internal
-    state) enter input mode i together with ``noise_idlers[i]`` noise photons
-    that are orthogonal to every other photon.  ``weight`` already contains
-    the emission weight times the triple-herald click probability.
-    """
-
-    pair_idlers: tuple[int, int, int]
-    noise_idlers: tuple[int, int, int]
-    weight: float
-
-
 def _pair_configurations(params: SourceParams):
     """Every retained pair configuration, lexicographic: ``(pairs, r, weight)``.
 
@@ -102,39 +86,31 @@ def _pair_configurations(params: SourceParams):
             yield pairs, min(noise_budget, n_budget - photons_from_pairs), base * lam2 ** sum(pairs)
 
 
-@lru_cache(maxsize=None)
-def _noise_vectors(budget: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
-    """Noise vectors l with |l| <= budget, lexicographic, each with |l|."""
-    vectors = product(range(budget + 1), repeat=N_SOURCES)
-    return tuple((l, sum(l)) for l in vectors if sum(l) <= budget)
-
-
-def heralded_ensemble(params: SourceParams) -> list[HeraldedTerm]:
-    """Weighted idler-side configurations given a click in all three herald arms.
+def heralded_ensemble(params: SourceParams) -> dict[tuple[int, int, int], list[float]]:
+    """Heralded weights of every pair configuration given a click in all three herald arms.
 
     Herald detectors are threshold detectors: with c photons in a signal arm
     the click probability is 1 - m**c, m = 1 - eta, in every arm.  The
     signal-noise counts k are summed in closed form.  For pairs n, the
     polynomial C_n(z) = prod_i sum_k (1 - m**(n_i + k)) (p_s z)**k, truncated
     at degree r, holds the heralded signal-noise weight by |k|; an idler-noise
-    vector l leaves |k| <= r - |l|, so its term weighs
-    base * lambda^(2|n|) * p_i^|l| times the coefficients of C_n up to
-    degree r - |l|.  Terms are in (pairs, idler noise) lexicographic order,
-    the merge of :func:`enumerate_terms` by that key; zero weights are dropped.
+    vector l leaves |k| <= r - |l|, so every vector with |l| = L weighs
+    ``c[L]`` = base * lambda^(2|n|) * p_i^L times the sum of the coefficients
+    of C_n up to degree r - L.  Returns ``{pairs: c}``, L = 0..r, in lexicographic pair
+    order; a configuration that never heralds is dropped.
     """
     p_s, p_i = params.p_noise_signal, params.p_noise_idler
     miss = 1.0 - params.herald_efficiency
-    heralded = []
+    heralded = {}
     for pairs, r, weight in _pair_configurations(params):
         poly = [1.0] + [0.0] * r
         for n in pairs:
             factor = [(1.0 - miss ** (n + k)) * p_s**k for k in range(r + 1)]
             poly = [sum(poly[j] * factor[d - j] for j in range(d + 1)) for d in range(r + 1)]
         heralded_by_noise = list(accumulate(poly))
-        for idler_noise, l_total in _noise_vectors(r):
-            w = weight * p_i**l_total * heralded_by_noise[r - l_total]
-            if w != 0.0:
-                heralded.append(HeraldedTerm(pairs, idler_noise, w))
+        c = [weight * p_i**l_total * heralded_by_noise[r - l_total] for l_total in range(r + 1)]
+        if any(c):
+            heralded[pairs] = c
     return heralded
 
 

@@ -232,14 +232,15 @@ class TestConfigValidation:
         assert list(tmp_path.iterdir()) == [tmp_path / "bad.json"]
 
     def test_photon_budget_cap_is_the_engine_cap(self):
-        # The largest pair-idler count among heralded terms grows by one per
-        # two photons of budget; the cap is the last budget the engine runs.
+        # The largest pair-idler count among heralded configurations grows by
+        # one per two photons of budget; the cap is the last budget the engine
+        # runs.
         source = CONFIG_SCHEMA["properties"]["source"]["properties"]
         cap = source["truncation_total_photons"]["maximum"]
 
         def most_pair_idlers(budget):
             source = SourceParams(truncation_total_photons=budget, truncation_noise_photons=0)
-            return max(sum(t.pair_idlers) for t in heralded_ensemble(source))
+            return max(sum(pairs) for pairs in heralded_ensemble(source))
 
         assert most_pair_idlers(cap) == DEFAULT_MAX_PHOTONS
         assert most_pair_idlers(cap + 1) == DEFAULT_MAX_PHOTONS + 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triphoton import experiment
 from triphoton.errors import DomainError
 from triphoton.experiment import (
     DetectionCascade,
@@ -38,11 +39,13 @@ from triphoton.mixedstate import build_densities, mixed_event_distribution
 from triphoton.modes import GramMatrix, gram_matrix, triad_phase
 from triphoton.oracle import random_unitary
 from triphoton.source import (
-    HeraldedTerm,
     SourceParams,
     _mixing_weight,
+    enumerate_terms,
     heralded_ensemble,
 )
+
+from test_source import heralded_vectors
 
 IDEAL_SOURCE = SourceParams(
     squeezing=0.16,
@@ -291,10 +294,19 @@ class TestSimulateCounts:
             ScanResult("tau", np.zeros(2), {"P111": np.zeros(2), "P011": np.zeros(3)})
 
     @pytest.mark.parametrize("cascade", [cascade_beamsplitters_1_3(0.5), cascade_tritter_1(0.5)])
-    def test_clip_moves_no_value_by_more_than_1e_12(self, cascade):
-        # At budget 6/1 patterns of four clicks cannot occur; the closed form
-        # puts some of them at about -1e-17, which the clip sets to 0.  Under
-        # tritter_1 only the all_H point at zero delay lands below 0 (-5.7e-18).
+    def test_clip_moves_no_value_by_more_than_1e_12(self, cascade, monkeypatch):
+        # At budget 6/1 patterns of four clicks cannot occur.  The (1, 1, 1)
+        # map, about half the herald norm, moves 1e-12 of its column sums from
+        # its last pattern (five clicks) to its first, so that pattern reads
+        # about -5e-13 at every point and the clip sets it to 0.
+        def shifted(*args):
+            maps = _click_maps(*args)
+            m = maps[(1, 1, 1)]
+            shift = 1e-12 * m.sum(axis=0)
+            maps[(1, 1, 1)] = np.vstack([m[:1] + m[-1:] + shift, m[1:-1], -shift])
+            return maps
+
+        monkeypatch.setattr(experiment, "_click_maps", shifted)
         source = SourceParams(truncation_total_photons=6, truncation_noise_photons=1)
         preps = triad_scan_preparations([theta_for_phase(0.7), theta_for_phase(3.5)], 1.0)
         preps += delay_scan_preparations("static_pi", [0.0, 1.3], 1.0)
@@ -302,15 +314,15 @@ class TestSimulateCounts:
         counts = simulate_counts(preps, source, cascade)
         heralded = heralded_ensemble(source)
         net = balanced_tritter()
-        maps = _click_maps(heralded, cascade, net, net)
+        maps = shifted(heralded, cascade, net, net)
         p_common = _mixing_weight(source.purity)
         raw = []
         for prep in preps:
             model = _PointModel(prepare(prep), p_common, net, net)
             raw.append(sum(m @ model.pair_distribution(pairs) for pairs, m in maps.items()))
-        raw = np.array(raw).T / math.fsum(t.weight for t in heralded)
+        raw = np.array(raw).T / herald_norm(heralded)
         clipped = np.array(list(counts.series.values()))
-        assert raw.min() < 0.0
+        assert raw.min() < -1e-13
         assert np.all((clipped >= 0.0) & (clipped <= 1.0))
         assert np.max(np.abs(clipped - raw)) <= 1e-12
         assert counts.metadata["click_most_negative"] == raw.min()
@@ -385,24 +397,29 @@ def convolve_noise(dist, noise_idlers, net_h, net_v):
     return dist
 
 
+def herald_norm(heralded):
+    """Sum of the heralded weights: C(L+2, 2) idler-noise vectors carry L photons."""
+    return math.fsum(c_l * math.comb(l + 2, 2) for c in heralded.values() for l, c_l in enumerate(c))
+
+
 def per_term_counts(preps, source, cascade, net_h, net_v):
-    """Click patterns by the per-term path: every heralded term's pair
-    distribution, convolved photon by photon with its noise photons, then
-    pushed occupation by occupation through the cascade."""
-    heralded = heralded_ensemble(source)
-    norm = math.fsum(t.weight for t in heralded)
+    """Click patterns by the per-term path: every heralded (pairs, idler noise)
+    term of the explicit joint emission terms, its pair distribution convolved
+    photon by photon with its noise photons, then pushed occupation by
+    occupation through the cascade."""
+    heralded = heralded_vectors(enumerate_terms(source), source.herald_efficiency)
+    norm = math.fsum(heralded.values())
     p_common = _mixing_weight(source.purity)
     out = []
     for prep in preps:
         model = _PointModel(prepare(prep), p_common, net_h, net_v)
         acc = {}
-        for term in heralded:
-            n = sum(term.pair_idlers)
-            dist = dict(zip(output_occupations(n, 3), model.pair_distribution(term.pair_idlers)))
-            dist = convolve_noise(dist, term.noise_idlers, net_h, net_v)
+        for (pairs, noise), weight in heralded.items():
+            dist = dict(zip(output_occupations(sum(pairs), 3), model.pair_distribution(pairs)))
+            dist = convolve_noise(dist, noise, net_h, net_v)
             for occ, p in dist.items():
                 for pattern, q in cascade.click_distribution(occ).items():
-                    acc[pattern] = acc.get(pattern, 0.0) + term.weight * p * q
+                    acc[pattern] = acc.get(pattern, 0.0) + weight * p * q
         out.append({pattern: value / norm for pattern, value in acc.items()})
     return out
 
@@ -426,27 +443,26 @@ class TestRunLevelMaps:
                 )
 
     def test_click_map_matches_convolution(self):
-        # Heralded terms carry every placement of their noise photons with
-        # the same weight, which averages the output probabilities over the
-        # inputs; each noise vector on its own must still follow its input
-        # modes through the network and then the cascade.
+        # A unit coefficient at L photons of idler noise gives every placement
+        # of those photons weight 1; each noise vector must still follow its
+        # input modes through the network and then the cascade.
         rng = np.random.default_rng(11)
         net_h, net_v = balanced_tritter(), perturbed_tritter()
         cascades = (cascade_none(0.7), cascade_beamsplitters_1_3(0.6), cascade_tritter_1(0.5))
         pair_configurations = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 1, 1)]
-        for cascade, noise, pairs in itertools.product(
-            cascades, itertools.product(range(3), repeat=3), pair_configurations
-        ):
-            if sum(noise) > 2:
-                continue
-            (matrix,) = _click_maps([HeraldedTerm(pairs, noise, 1.0)], cascade, net_h, net_v).values()
+        for cascade, l_total, pairs in itertools.product(cascades, range(3), pair_configurations):
+            c = [0.0] * l_total + [1.0]
+            (matrix,) = _click_maps({pairs: c}, cascade, net_h, net_v).values()
             occupations = output_occupations(sum(pairs), 3)
             dist = rng.dirichlet(np.ones(len(occupations)))
-            lifted = convolve_noise(dict(zip(occupations, dist)), noise, net_h, net_v)
             reference = dict.fromkeys(cascade.patterns(), 0.0)
-            for occ, p in lifted.items():
-                for pattern, q in cascade.click_distribution(occ).items():
-                    reference[pattern] += p * q
+            for noise in itertools.product(range(l_total + 1), repeat=3):
+                if sum(noise) != l_total:
+                    continue
+                lifted = convolve_noise(dict(zip(occupations, dist)), noise, net_h, net_v)
+                for occ, p in lifted.items():
+                    for pattern, q in cascade.click_distribution(occ).items():
+                        reference[pattern] += p * q
             assert np.max(np.abs(matrix @ dist - list(reference.values()))) < 1e-12
 
     def test_click_map_columns_sum_to_heralded_weight(self):
@@ -455,9 +471,9 @@ class TestRunLevelMaps:
         for source, cascade in itertools.product(SMALL_SOURCES + (SourceParams(),), cascades):
             heralded = heralded_ensemble(source)
             maps = _click_maps(heralded, cascade, net_h, net_v)
-            assert set(maps) == {t.pair_idlers for t in heralded}
+            assert list(maps) == list(heralded)
             for pairs, matrix in maps.items():
-                weight = math.fsum(t.weight for t in heralded if t.pair_idlers == pairs)
+                weight = herald_norm({pairs: heralded[pairs]})
                 occupations = output_occupations(sum(pairs), 3)
                 assert matrix.shape == (len(cascade.patterns()), len(occupations))
                 assert np.max(np.abs(matrix.sum(axis=0) - weight)) < 1e-12

@@ -8,7 +8,6 @@ import triphoton.source
 from triphoton.errors import DomainError
 from triphoton.experiment import delay_scan_preparations, simulate_counts
 from triphoton.source import (
-    HeraldedTerm,
     SourceParams,
     enumerate_terms,
     heralded_ensemble,
@@ -25,15 +24,14 @@ def find(terms, pairs, signal_noise=(0, 0, 0), idler_noise=(0, 0, 0)):
     return None
 
 
-def reference_ensemble(params):
-    """The heralded ensemble and truncation deficit from the explicit terms.
+def heralded_vectors(terms, herald_efficiency):
+    """Heralded weight of every (pairs, idler noise) from explicit joint terms.
 
-    Every joint term of enumerate_terms is thinned by its herald click
-    probability and merged by (pairs, idler noise); the deficit is 1 minus
-    the sum of all their weights.
+    Every joint term is thinned by its herald click probability and merged by
+    (pairs, idler-noise vector); terms that never herald are dropped.  Keys
+    are in lexicographic order.
     """
-    terms = enumerate_terms(params)
-    miss = 1.0 - params.herald_efficiency
+    miss = 1.0 - herald_efficiency
     merged = {}
     for term in terms:
         click = math.prod(1.0 - miss ** (n + k) for n, k in zip(term.pairs, term.signal_noise))
@@ -41,8 +39,31 @@ def reference_ensemble(params):
             continue
         key = (term.pairs, term.idler_noise)
         merged[key] = merged.get(key, 0.0) + term.weight * click
-    heralded = [HeraldedTerm(pairs, noise, w) for (pairs, noise), w in sorted(merged.items())]
-    return heralded, 1.0 - math.fsum(t.weight for t in terms)
+    return dict(sorted(merged.items()))
+
+
+def reference_ensemble(params):
+    """The heralded ensemble, herald norm and truncation deficit from the explicit terms.
+
+    All C(L+2, 2) idler-noise vectors with L photons of a pair configuration
+    must carry one weight, c[L], to 1e-14 relative.  L runs to the noise
+    photons the truncation leaves, min(noise budget, total budget - 2 |pairs|),
+    and an L no heralded vector reaches reads 0.  The herald norm sums every
+    vector's weight; the deficit is 1 minus the sum of all term weights.
+    """
+    terms = enumerate_terms(params)
+    vectors = heralded_vectors(terms, params.herald_efficiency)
+    by_total = {}
+    for (pairs, noise), w in vectors.items():
+        by_total.setdefault((pairs, sum(noise)), []).append(w)
+    noise_budget = min(params.truncation_noise_photons, params.truncation_total_photons)
+    heralded = {}
+    for (pairs, l_total), weights in by_total.items():
+        assert len(weights) == math.comb(l_total + 2, 2)
+        assert all(abs(w - weights[0]) <= 1e-14 * weights[0] for w in weights)
+        r = min(noise_budget, params.truncation_total_photons - 2 * sum(pairs))
+        heralded.setdefault(pairs, [0.0] * (r + 1))[l_total] = weights[0]
+    return heralded, math.fsum(vectors.values()), 1.0 - math.fsum(t.weight for t in terms)
 
 
 class TestEnumerateTerms:
@@ -120,21 +141,17 @@ class TestHeraldedEnsemble:
             herald_efficiency=1.0,
         )
         heralded = heralded_ensemble(params)
-        assert len(heralded) == 1
-        assert heralded[0].pair_idlers == (1, 1, 1)
-        assert heralded[0].noise_idlers == (0, 0, 0)
-        assert heralded[0].weight == pytest.approx((1 - 0.16**2) ** 3 * 0.16**6)
+        assert list(heralded) == [(1, 1, 1)]
+        assert heralded[(1, 1, 1)] == pytest.approx([(1 - 0.16**2) ** 3 * 0.16**6])
 
     def test_double_pair_configuration_present(self):
         heralded = heralded_ensemble(NOMINAL)
-        assert any(h.pair_idlers == (2, 1, 1) for h in heralded)
+        assert (2, 1, 1) in heralded
 
     def test_noise_idler_replaces_pair_idler(self):
         heralded = heralded_ensemble(NOMINAL)
         # source 3 heralds through signal noise and delivers a noise idler
-        h = [x for x in heralded if x.pair_idlers == (1, 1, 0) and x.noise_idlers == (0, 0, 1)]
-        assert h
-        assert h[0].weight > 0
+        assert heralded[(1, 1, 0)][1] > 0
 
     def test_click_probability_thinning(self):
         lam, eta = 0.2, 0.4
@@ -148,14 +165,14 @@ class TestHeraldedEnsemble:
         )
         heralded = heralded_ensemble(params)
         expected = (1 - lam**2) ** 3 * lam**6 * eta**3
-        assert heralded[0].weight == pytest.approx(expected, rel=1e-12)
+        assert heralded[(1, 1, 1)][0] == pytest.approx(expected, rel=1e-12)
 
     def test_unheralded_terms_dropped(self):
         params = SourceParams(squeezing=0.2, p_noise_idler=0.0, p_noise_signal=0.0)
         heralded = heralded_ensemble(params)
-        assert all(min(h.pair_idlers) >= 1 or max(h.noise_idlers) > 0 for h in heralded)
+        assert all(min(pairs) >= 1 or any(c[1:]) for pairs, c in heralded.items())
         # with zero signal noise every contributing source must emit a pair
-        assert all(min(h.pair_idlers) >= 1 for h in heralded)
+        assert all(min(pairs) >= 1 for pairs in heralded)
 
     def test_efficiency_validation(self):
         with pytest.raises(DomainError):
@@ -184,13 +201,12 @@ class TestClosedForm:
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(source_params())
     def test_matches_explicit_enumeration(self, params):
-        reference, deficit = reference_ensemble(params)
+        reference, norm, deficit = reference_ensemble(params)
         heralded = heralded_ensemble(params)
-        assert [(t.pair_idlers, t.noise_idlers) for t in heralded] == [
-            (t.pair_idlers, t.noise_idlers) for t in reference
-        ]
-        for term, ref in zip(heralded, reference):
-            assert abs(term.weight - ref.weight) <= 1e-14 * ref.weight
+        assert list(heralded) == list(reference)
+        for pairs, c in heralded.items():
+            assert len(c) == len(reference[pairs])
+            assert all(abs(c_l - ref) <= 1e-14 * ref for c_l, ref in zip(c, reference[pairs]))
         assert abs(truncation_deficit(params) - deficit) <= 1e-15
 
         def fail(_):
@@ -205,4 +221,6 @@ class TestClosedForm:
                 return
             counts = simulate_counts(preps, params)
         assert counts.metadata["truncation_deficit"] == truncation_deficit(params)
-        assert counts.metadata["herald_probability"] == math.fsum(t.weight for t in heralded)
+        by_vector = [c_l * math.comb(l + 2, 2) for c in heralded.values() for l, c_l in enumerate(c)]
+        assert counts.metadata["herald_probability"] == math.fsum(by_vector)
+        assert counts.metadata["herald_probability"] == pytest.approx(norm, rel=1e-14, abs=0.0)
