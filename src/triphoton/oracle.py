@@ -1,37 +1,68 @@
 """Brute-force second-quantised simulator used to validate every probability.
 
 States live in a Fock space over (spatial mode, internal basis index) pairs.
-Photons are injected as creation-operator polynomials, the network substitutes
-``a_dag[j, x] -> sum_k U[k, j] a_dag[k, x]`` and probabilities follow from the
-Born rule.  Deliberately simple and unoptimised; correctness gate only.
+A state is a product of one creation operator per photon.  The network
+substitutes ``a_dag[j, x] -> sum_k U[k, j] a_dag[k, x]`` in each photon's
+creation operator; the product is then expanded once into occupation
+amplitudes, one photon at a time, and probabilities follow from the Born
+rule.  No permutation sum and no occupation table is shared with the engine
+this checks.  Deliberately simple; correctness gate only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError, SizeLimit
-from .interference import Network, event_distribution, output_occupations
+from .interference import Network, event_distribution
 from .modes import GaussianTemporalMode, InternalState, PolarizationState, gram_matrix
 
 ORACLE_MAX_PHOTONS = 6
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FockState:
-    """Amplitudes over occupations of (mode, internal index) slots.
+    """The state prod_p (sum_s photons[p, s] a_dag[s]) |0>, normalised.
 
-    Occupation keys are flat tuples of length ``n_modes * internal_dim`` in
-    mode-major order.  A polarisation-dependent network is simulated as a
-    plain network over (mode, polarisation) pairs.
+    ``photons[p]`` holds photon p's amplitudes over the ``n_modes *
+    internal_dim`` (mode, internal index) slots in mode-major order; the
+    occupation keys of ``amplitudes`` are flat tuples over the same slots.
+    A polarisation-dependent network is simulated as a plain network over
+    (mode, polarisation) pairs.
     """
 
     n_modes: int
     internal_dim: int
-    amplitudes: dict[tuple[int, ...], complex] = field(default_factory=dict)
+    photons: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.photons, dtype=complex)
+        if rows.ndim != 2 or rows.shape[1] != self.n_modes * self.internal_dim:
+            raise DomainError("one row of n_modes * internal_dim amplitudes per photon required")
+        rows.flags.writeable = False
+        object.__setattr__(self, "photons", rows)
+
+    @cached_property
+    def amplitudes(self) -> dict[tuple[int, ...], complex]:
+        """Occupation amplitudes: the photons created one at a time, equal keys merged."""
+        poly = {(0,) * self.photons.shape[1]: 1.0 + 0.0j}
+        for row in self.photons:
+            terms = [(s, c) for s, c in enumerate(row.tolist()) if c != 0]
+            created: dict[tuple[int, ...], complex] = {}
+            for occ, amp in poly.items():
+                for s, c in terms:
+                    # a_dag |n> = sqrt(n + 1) |n + 1> in slot s.
+                    count = occ[s] + 1
+                    key = occ[:s] + (count,) + occ[s + 1 :]
+                    created[key] = created.get(key, 0.0) + amp * c * math.sqrt(count)
+            poly = created
+        norm = math.sqrt(math.fsum(abs(a) ** 2 for a in poly.values()))
+        return {occ: a / norm for occ, a in poly.items()}
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
@@ -53,10 +84,10 @@ def vectors_from_gram(g: np.ndarray) -> np.ndarray:
 
 
 def expand_from_vectors(vectors: np.ndarray, input_modes: list[int], n_modes: int) -> FockState:
-    """Create the (normalised) input Fock state for one photon per vector.
+    """The input state with photon p in mode ``input_modes[p]``, internal vector ``vectors[p]``.
 
     ``input_modes`` may repeat: photons sharing a mode acquire the proper
-    bosonic sqrt(n!) weights and the state is normalised at the end.
+    bosonic sqrt(n!) weights and the state is normalised.
     """
     vectors = np.asarray(vectors, dtype=complex)
     n, d = vectors.shape
@@ -64,26 +95,9 @@ def expand_from_vectors(vectors: np.ndarray, input_modes: list[int], n_modes: in
         raise DomainError("one input mode per photon required")
     if n > ORACLE_MAX_PHOTONS:
         raise SizeLimit(f"oracle capped at {ORACLE_MAX_PHOTONS} photons")
-    state = FockState(n_modes=n_modes, internal_dim=d)
-    size = n_modes * d
-    amps: dict[tuple[int, ...], complex] = {tuple([0] * size): 1.0 + 0.0j}
-    for photon in range(n):
-        mode = input_modes[photon]
-        new: dict[tuple[int, ...], complex] = {}
-        for occ, amp in amps.items():
-            for k in range(d):
-                c = vectors[photon, k]
-                if abs(c) < 1e-300:
-                    continue
-                slot = mode * d + k
-                lifted = list(occ)
-                lifted[slot] += 1
-                key = tuple(lifted)
-                new[key] = new.get(key, 0.0) + amp * c * math.sqrt(lifted[slot])
-        amps = new
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    state.amplitudes = {k: v / norm for k, v in amps.items() if abs(v) > 0.0}
-    return state
+    rows = np.zeros((n, n_modes, d), dtype=complex)
+    rows[np.arange(n), input_modes] = vectors  # e_j (x) v_p
+    return FockState(n_modes, d, rows.reshape(n, n_modes * d))
 
 
 def expand_inputs(
@@ -95,73 +109,25 @@ def expand_inputs(
     return expand_from_vectors(state_vectors(states), input_modes, n_modes)
 
 
-def _multinomial(total: int, parts: tuple[int, ...]) -> int:
-    c = math.factorial(total)
-    for p in parts:
-        c //= math.factorial(p)
-    return c
-
-
 def evolve_amplitudes(fock: FockState, net: Network) -> FockState:
-    """Apply the network to every creation operator and re-collect amplitudes."""
+    """The state after the network: (U (x) 1) applied to every photon's row."""
     u = net.matrix
     m, d = fock.n_modes, fock.internal_dim
     if u.shape[0] != m:
         raise DomainError("network dimension must match the Fock state's mode count")
-    size = m * d
-    poly: dict[tuple[int, ...], complex] = {}
-    for occ, amp in fock.amplitudes.items():
-        coeff = amp
-        for count in occ:
-            if count > 1:
-                coeff /= math.sqrt(math.factorial(count))
-        partial: dict[tuple[int, ...], complex] = {tuple([0] * size): coeff}
-        for slot, count in enumerate(occ):
-            if count == 0:
-                continue
-            j, x = divmod(slot, d)
-            u_col = u[:, j]
-            expanded: dict[tuple[int, ...], complex] = {}
-            for mu in output_occupations(count, m):
-                w = _multinomial(count, mu)
-                c = complex(w)
-                for k, mk in enumerate(mu):
-                    if mk:
-                        c *= u_col[k] ** mk
-                if c == 0:
-                    continue
-                for key, val in partial.items():
-                    lifted = list(key)
-                    for k, mk in enumerate(mu):
-                        if mk:
-                            lifted[k * d + x] += mk
-                    nk = tuple(lifted)
-                    expanded[nk] = expanded.get(nk, 0.0) + val * c
-            partial = expanded
-        for key, val in partial.items():
-            poly[key] = poly.get(key, 0.0) + val
-    out = FockState(n_modes=m, internal_dim=d)
-    amps = {}
-    for key, val in poly.items():
-        if abs(val) < 1e-300:
-            continue
-        c = val
-        for count in key:
-            if count > 1:
-                c *= math.sqrt(math.factorial(count))
-        amps[key] = c
-    out.amplitudes = amps
-    return out
+    rows = fock.photons.reshape(-1, m, d)
+    return FockState(m, d, np.einsum("kj,pjx->pkx", u, rows).reshape(len(rows), m * d))
 
 
 def evolve_and_measure(fock: FockState, net: Network) -> dict[tuple[int, ...], float]:
     """Map from spatial output occupation to probability after the network."""
     evolved = evolve_amplitudes(fock, net)
-    m, d = evolved.n_modes, evolved.internal_dim
+    m, d, amps = evolved.n_modes, evolved.internal_dim, evolved.amplitudes
+    slots = np.fromiter(chain.from_iterable(amps), dtype=int, count=len(amps) * m * d)
+    spatial = slots.reshape(len(amps), m, d).sum(axis=2)
     probs: dict[tuple[int, ...], float] = {}
-    for occ, amp in evolved.amplitudes.items():
-        spatial = tuple(sum(occ[j * d : (j + 1) * d]) for j in range(m))
-        probs[spatial] = probs.get(spatial, 0.0) + abs(amp) ** 2
+    for occ, amp in zip(map(tuple, spatial.tolist()), amps.values()):
+        probs[occ] = probs.get(occ, 0.0) + abs(amp) ** 2
     return probs
 
 

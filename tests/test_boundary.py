@@ -3,7 +3,9 @@
 ``mixedstate`` (the trace formulas, the Gram-Schmidt basis, the permanent)
 and ``oracle`` (the Fock-space simulator) check the production modules; a
 production module that imported them would no longer be checked by an
-independent path.
+independent path.  The oracle in turn takes only the network type and the
+engine's entry point from ``interference``, so it shares no sum or
+occupation table with the engine it checks.
 """
 
 import ast
@@ -35,3 +37,9 @@ def test_production_module_imports_no_reference_code(module):
     names = imported_names(PACKAGE / f"{module}.py")
     offending = sorted(n for n in names if REFERENCE & set(n.split(".")))
     assert not offending, f"{module} imports reference code: {offending}"
+
+
+def test_oracle_takes_only_network_and_entry_point_from_interference():
+    names = imported_names(PACKAGE / "oracle.py")
+    taken = {n for n in names if "interference" in n.split(".")}
+    assert taken == {"interference", "interference.Network", "interference.event_distribution"}

@@ -25,6 +25,7 @@ from triphoton.modes import (
 from triphoton.oracle import (
     distribution_from_states,
     equivalence_report,
+    evolve_amplitudes,
     evolve_and_measure,
     expand_from_vectors,
     expand_inputs,
@@ -161,6 +162,41 @@ class TestEvolveAndMeasure:
         blocked = fold_polarisation(evolve_and_measure(fock, doubled_network(net, net, pols)), 3)
         for occ in set(plain) | set(blocked):
             assert blocked.get(occ, 0.0) == pytest.approx(plain.get(occ, 0.0), abs=1e-12)
+
+
+class TestSubstitution:
+    """The network acting on each photon's creation operator, checked without the engine.
+
+    Four photons on four modes: photons 0 and 1 share input mode 0, and
+    photons 0 and 3 are identical, so the Gram matrix has rank 3.
+    """
+
+    @pytest.fixture
+    def fock(self):
+        rng = np.random.default_rng(41)
+        s0, s1, s2 = random_internal_states(rng, 3)
+        fock = expand_inputs([s0, s1, s2, s0], [0, 0, 2, 3], n_modes=4)
+        assert fock.internal_dim == 3
+        return fock
+
+    @staticmethod
+    def assert_same_amplitudes(a, b):
+        for occ in set(a.amplitudes) | set(b.amplitudes):
+            assert abs(a.amplitudes.get(occ, 0.0) - b.amplitudes.get(occ, 0.0)) < 1e-12
+
+    def test_composition(self, fock):
+        rng = np.random.default_rng(43)
+        u, v = random_unitary(rng, 4), random_unitary(rng, 4)
+        stepwise = evolve_amplitudes(evolve_amplitudes(fock, u), v)
+        composed = evolve_amplitudes(fock, Network(v.matrix @ u.matrix))
+        self.assert_same_amplitudes(stepwise, composed)
+
+    def test_identity_network(self, fock):
+        self.assert_same_amplitudes(evolve_amplitudes(fock, Network(np.eye(4))), fock)
+
+    def test_evolved_norm(self, fock):
+        evolved = evolve_amplitudes(fock, random_unitary(np.random.default_rng(47), 4))
+        assert evolved.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEquivalence:
