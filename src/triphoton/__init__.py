@@ -15,9 +15,10 @@ reference code: the package exports them, but ``modes``, ``interference``,
 only for ``validate``.
 
 Every probability depends on the Gram matrix only through its moduli and the
-triad phase, so the preparations take no parameter that only re-phases the
-photons: a recipe, the temporal width and the scanned delay or collective
-phase fix each point.
+triad phase, so neither the internal states nor the preparations take a
+parameter that only re-phases the photons, such as a carrier frequency.  The
+one temporal family is the delayed Gaussian: a recipe, the temporal width
+and the scanned delay or collective phase fix each point.
 """
 
 __version__ = "0.1.0"
@@ -25,7 +26,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     DomainError,
-    InvalidSpectrum,
     NumericalInconsistency,
     SizeLimit,
     TriadPhaseUndefined,
@@ -66,18 +66,13 @@ from .mixedstate import (
     permanent,
 )
 from .modes import (
-    DelayedSpectralMode,
     GaussianTemporalMode,
     GramMatrix,
     InternalState,
     PolarizationState,
-    SampledSpectrum,
-    delay_invariance_test,
-    gaussian_overlap,
     gram_matrix,
     overlap,
     qubit_triad_phase,
-    spectral_overlap,
     temporal_overlap,
     triad_phase,
 )

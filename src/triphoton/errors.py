@@ -10,11 +10,7 @@ class DomainError(TriphotonError, ValueError):
 
 
 class UnsupportedModePair(DomainError):
-    """Two internal states cannot be overlapped (incompatible mode families)."""
-
-
-class InvalidSpectrum(DomainError):
-    """A sampled spectrum violates its grid or positivity requirements."""
+    """Two internal states cannot be overlapped (different widths or auxiliary dimensions)."""
 
 
 class TriadPhaseUndefined(TriphotonError):

@@ -262,20 +262,6 @@ class DetectionCascade:
         return {pattern: p for pattern, p in zip(self.patterns(), probs) if p > 0.0}
 
 
-def cascade_none(efficiency: float = 0.5) -> DetectionCascade:
-    return DetectionCascade(("none", "none", "none"), efficiency)
-
-
-def cascade_beamsplitters_1_3(efficiency: float = 0.5) -> DetectionCascade:
-    """Two-way splitters on the first and third outputs."""
-    return DetectionCascade(("beamsplitter_2way", "none", "beamsplitter_2way"), efficiency)
-
-
-def cascade_tritter_1(efficiency: float = 0.5) -> DetectionCascade:
-    """Three-way splitter on the first output."""
-    return DetectionCascade(("tritter_3way", "none", "none"), efficiency)
-
-
 def _click_tables(cascade: DetectionCascade) -> tuple[np.ndarray, np.ndarray]:
     """Inclusion-exclusion tables ``a``, ``beta`` of the cascade's click statistics.
 
@@ -413,7 +399,7 @@ class _PointModel:
 def simulate_counts(
     preparations: list[Preparation],
     source: SourceParams,
-    cascade: DetectionCascade | None = None,
+    cascade: DetectionCascade = DetectionCascade(),
     network: Network | None = None,
     network_v: Network | None = None,
     *,
@@ -443,8 +429,6 @@ def simulate_counts(
     clipped into [0, 1].  The metadata reports the worst |sum - 1| and the
     most negative value before the clip.
     """
-    if cascade is None:
-        cascade = cascade_none()
     net_h = network if network is not None else balanced_tritter()
     net_v = network_v if network_v is not None else net_h
 
@@ -466,7 +450,7 @@ def simulate_counts(
     counts /= herald_norm
     worst_total = float(np.abs(counts.sum(axis=0) - 1.0).max(initial=0.0))
     lowest = float(counts.min(initial=0.0))
-    if lowest < -1e-12 or worst_total > 1e-12:
+    if not (lowest >= -1e-12 and worst_total <= 1e-12):
         raise NumericalInconsistency(f"click sums off 1 by {worst_total:.3e}, min {lowest:.3e}")
     series = dict(zip(names, np.clip(counts, 0.0, 1.0)))
 

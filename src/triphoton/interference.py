@@ -46,7 +46,7 @@ class Network:
         u = np.asarray(self.matrix, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise DomainError("network matrix must be square")
-        if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-10:
+        if not np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= 1e-10:
             raise DomainError("network matrix must be unitary within 1e-10")
         u = u.copy()
         u.flags.writeable = False
@@ -118,13 +118,16 @@ def _occupation_factor(occupation: tuple[int, ...]) -> float:
 
 
 def _finalize_probabilities(raw: np.ndarray) -> np.ndarray:
-    """Real parts of ``raw``, checked for imaginary residues and out-of-band values."""
+    """Real parts of ``raw``, checked for imaginary residues and out-of-band values.
+
+    Both checks compare as ``not err <= tol``, so a NaN fails them.
+    """
     worst = np.abs(raw.imag).argmax()
-    if abs(raw.imag[worst]) >= 1e-8:
+    if not abs(raw.imag[worst]) < 1e-8:
         raise NumericalInconsistency(f"imaginary residue {raw.imag[worst]:.3e} in a probability")
     p = raw.real
-    if p.min() < -1e-10 or p.max() > 1.0 + 1e-10:
-        bad = p[(p < -1e-10) | (p > 1.0 + 1e-10)][0]
+    if not (p.min() >= -1e-10 and p.max() <= 1.0 + 1e-10):
+        bad = p[~((p >= -1e-10) & (p <= 1.0 + 1e-10))][0]
         raise NumericalInconsistency(f"probability {float(bad)!r} outside [0, 1] tolerance band")
     return p
 

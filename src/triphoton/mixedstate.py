@@ -39,11 +39,11 @@ class InternalDensity:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise DomainError("density matrix must be square")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:
             raise DomainError("density matrix must be Hermitian within 1e-10")
-        if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
+        if not (abs(np.trace(rho).real - 1.0) <= 1e-10 and abs(np.trace(rho).imag) <= 1e-10):
             raise DomainError("density matrix must have unit trace within 1e-10")
-        if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
+        if not np.min(np.linalg.eigvalsh(rho)) >= -1e-10:
             raise DomainError("density matrix must be positive semi-definite")
         rho = rho.copy()
         rho.flags.writeable = False
@@ -97,9 +97,9 @@ def gram_schmidt_temporal(t_overlaps: np.ndarray) -> TemporalBasis:
     n = g.shape[0]
     if g.shape != (n, n) or n < 1 or n > 3:
         raise DomainError("expected a 1x1 .. 3x3 temporal Gram matrix")
-    if np.max(np.abs(g - g.conj().T)) > 1e-12 or np.max(np.abs(np.diag(g) - 1.0)) > 1e-12:
+    if not (np.max(np.abs(g - g.conj().T)) <= 1e-12 and np.max(np.abs(np.diag(g) - 1.0)) <= 1e-12):
         raise DomainError("temporal overlaps must form a Hermitian unit-diagonal matrix")
-    if np.min(np.linalg.eigvalsh(g)) < -1e-9:
+    if not np.min(np.linalg.eigvalsh(g)) >= -1e-9:
         raise DomainError("temporal overlaps must be positive semi-definite")
 
     coeffs = np.zeros((n, n), dtype=complex)
@@ -252,10 +252,10 @@ def mixed_event_probability(
     for s in spec.output_occupation:
         norm *= math.factorial(s)
     total /= norm
-    if abs(total.imag) >= 1e-8:
+    if not abs(total.imag) < 1e-8:
         raise NumericalInconsistency(f"imaginary residue {total.imag:.3e} in mixed probability")
     p = total.real
-    if p < -1e-10 or p > 1.0 + 1e-10:
+    if not -1e-10 <= p <= 1.0 + 1e-10:
         raise NumericalInconsistency(f"mixed probability {p!r} outside [0, 1] tolerance band")
     return p
 
@@ -292,7 +292,7 @@ def p111_mixed(
         + 2.0 * cyc.real * cyc_perm.real
         - 2.0 * cyc.imag * cyc_perm.imag
     )
-    if total < -1e-10 or total > 1.0 + 1e-10:
+    if not -1e-10 <= total <= 1.0 + 1e-10:
         raise NumericalInconsistency(f"P111 {total!r} outside [0, 1] tolerance band")
     return float(total)
 

@@ -64,20 +64,12 @@ class FockState:
         norm = math.sqrt(math.fsum(abs(a) ** 2 for a in poly.values()))
         return {occ: a / norm for occ, a in poly.items()}
 
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-
-def state_vectors(states: list[InternalState]) -> np.ndarray:
-    """Orthonormal-basis coefficient vectors reproducing the states' Gram matrix.
+def vectors_from_gram(g: np.ndarray) -> np.ndarray:
+    """Orthonormal-basis coefficient vectors reproducing the Gram matrix ``g``.
 
     Rank-deficient Gram matrices are truncated to their numerical rank.
     """
-    g = gram_matrix(states).entries
-    return vectors_from_gram(g)
-
-
-def vectors_from_gram(g: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(np.asarray(g, dtype=complex))
     keep = vals > max(1e-12, 1e-12 * vals.max())
     return vecs[:, keep] * np.sqrt(vals[keep])[None, :]
@@ -106,7 +98,7 @@ def expand_inputs(
     """Expand photons with the given internal states into a Fock state."""
     if n_modes is None:
         n_modes = max(input_modes) + 1
-    return expand_from_vectors(state_vectors(states), input_modes, n_modes)
+    return expand_from_vectors(vectors_from_gram(gram_matrix(states).entries), input_modes, n_modes)
 
 
 def evolve_amplitudes(fock: FockState, net: Network) -> FockState:
@@ -131,14 +123,6 @@ def evolve_and_measure(fock: FockState, net: Network) -> dict[tuple[int, ...], f
     return probs
 
 
-def distribution_from_states(
-    states: list[InternalState], input_modes: list[int], net: Network
-) -> dict[tuple[int, ...], float]:
-    """Convenience wrapper: expand, evolve and measure in one call."""
-    fock = expand_inputs(states, input_modes, n_modes=net.m)
-    return evolve_and_measure(fock, net)
-
-
 def random_unitary(rng: np.random.Generator, m: int) -> Network:
     """Haar-ish random unitary from a QR decomposition with phase fixing."""
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2.0)
@@ -151,7 +135,6 @@ def random_internal_states(
     rng: np.random.Generator, n: int, aux_dim: int = 3
 ) -> list[InternalState]:
     """Random product internal states: delays, polarisations and aux vectors."""
-    omega = float(rng.uniform(0.0, 2.0))
     states = []
     for _ in range(n):
         t = float(rng.uniform(-1.5, 1.5))
@@ -161,7 +144,7 @@ def random_internal_states(
         aux = aux / np.linalg.norm(aux)
         states.append(
             InternalState(
-                temporal=GaussianTemporalMode(t, 1.0, omega),
+                temporal=GaussianTemporalMode(t, 1.0),
                 polarization=PolarizationState(complex(pol[0]), complex(pol[1])),
                 aux=tuple(complex(a) for a in aux),
             )

@@ -7,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triphoton import experiment
-from triphoton.errors import DomainError
+from triphoton.errors import DomainError, NumericalInconsistency
 from triphoton.experiment import (
     DetectionCascade,
     Preparation,
     ScanResult,
-    cascade_beamsplitters_1_3,
-    cascade_none,
-    cascade_tritter_1,
     default_phase_grid,
     delay_condition,
     delay_scan_preparations,
@@ -46,6 +43,13 @@ from triphoton.source import (
 )
 
 from test_source import heralded_vectors
+
+# Detection cascades: no splitter, two-way splitters on the first and third
+# outputs, a three-way splitter on the first output.
+NO_SPLITTERS = ("none", "none", "none")
+BEAMSPLITTERS_1_3 = ("beamsplitter_2way", "none", "beamsplitter_2way")
+TRITTER_1 = ("tritter_3way", "none", "none")
+PERFECT_DETECTORS = DetectionCascade(NO_SPLITTERS, 1.0)
 
 IDEAL_SOURCE = SourceParams(
     squeezing=0.16,
@@ -199,11 +203,11 @@ class TestCascade:
     def test_click_probs_match_enumeration(self):
         # brute force over photon fates: each photon picks one leaf of its
         # output, each with probability eta / leaves, or is lost
-        cascades = (cascade_none, cascade_beamsplitters_1_3, cascade_tritter_1)
-        for cascade, (n, eta) in itertools.product(
-            cascades, [(0, 0.5), (1, 0.7), (2, 0.5), (3, 0.4), (4, 0.9)]
+        for splitters, (n, eta) in itertools.product(
+            (NO_SPLITTERS, BEAMSPLITTERS_1_3, TRITTER_1),
+            [(0, 0.5), (1, 0.7), (2, 0.5), (3, 0.4), (4, 0.9)],
         ):
-            cas = cascade(eta)
+            cas = DetectionCascade(splitters, eta)
             for occ in output_occupations(n, 3):
                 outputs = [o for o, count in enumerate(occ) for _ in range(count)]
                 brute = {}
@@ -225,15 +229,15 @@ class TestCascade:
                     )
 
     def test_click_distribution_normalised(self):
-        cascade = cascade_beamsplitters_1_3(0.6)
+        cascade = DetectionCascade(BEAMSPLITTERS_1_3, 0.6)
         for occ in [(3, 0, 0), (1, 1, 1), (2, 1, 0), (0, 0, 0), (2, 2, 1)]:
             dist = cascade.click_distribution(occ)
             assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_topologies(self):
-        assert cascade_none().leaves == (1, 1, 1)
-        assert cascade_beamsplitters_1_3().leaves == (2, 1, 2)
-        assert cascade_tritter_1().leaves == (3, 1, 1)
+        assert DetectionCascade().leaves == (1, 1, 1)
+        assert DetectionCascade(BEAMSPLITTERS_1_3).leaves == (2, 1, 2)
+        assert DetectionCascade(TRITTER_1).leaves == (3, 1, 1)
         with pytest.raises(DomainError):
             DetectionCascade(("none", "nope", "none"))
 
@@ -243,7 +247,7 @@ class TestSimulateCounts:
         phis = np.linspace(0.0, 2 * math.pi, 9)
         thetas = [theta_for_phase(p) for p in phis]
         preps = triad_scan_preparations(thetas, 1.0)
-        counts = simulate_counts(preps, IDEAL_SOURCE, cascade_none(1.0), x_values=phis)
+        counts = simulate_counts(preps, IDEAL_SOURCE, PERFECT_DETECTORS, x_values=phis)
         ideal = scan_triad(phis, 1.0)
         assert np.max(np.abs(counts.series["N111"] - ideal.series["P111"])) < 1e-9
         assert np.max(
@@ -254,13 +258,13 @@ class TestSimulateCounts:
     def test_ideal_reduction_matches_delay_scan(self):
         taus = [0.0, 1.5, 4.0]
         preps = delay_scan_preparations("all_H", taus, 1.0)
-        counts = simulate_counts(preps, IDEAL_SOURCE, cascade_none(1.0), x_values=taus)
+        counts = simulate_counts(preps, IDEAL_SOURCE, PERFECT_DETECTORS, x_values=taus)
         ideal = scan_delays("all_H", taus, 1.0)
         assert np.max(np.abs(counts.series["N111"] - ideal.series["P111"])) < 1e-9
         # Near-coincident photons: both scans read the same exact Gram matrix.
         for recipe in ("all_H", "static_pi"):
             preps = delay_scan_preparations(recipe, [1e-5], 1.0)
-            counts = simulate_counts(preps, IDEAL_SOURCE, cascade_none(1.0))
+            counts = simulate_counts(preps, IDEAL_SOURCE, PERFECT_DETECTORS)
             ideal = scan_delays(recipe, [1e-5], 1.0)
             assert counts.series["N111"][0] == pytest.approx(ideal.series["P111"][0], abs=1e-13)
 
@@ -268,7 +272,7 @@ class TestSimulateCounts:
         taus = [0.0, 3.0]
         preps = delay_scan_preparations("all_H", taus, 1.0)
         counts = simulate_counts(
-            preps, SourceParams(), cascade_beamsplitters_1_3(0.5), x_values=taus
+            preps, SourceParams(), DetectionCascade(BEAMSPLITTERS_1_3, 0.5), x_values=taus
         )
         total = np.zeros(len(taus))
         for series in counts.series.values():
@@ -281,7 +285,7 @@ class TestSimulateCounts:
         preps = delay_scan_preparations("all_H", [0.0027, 1e-7], 1.07)
         for net_v in (None, perturbed_tritter()):
             counts = simulate_counts(
-                preps, SourceParams(), cascade_tritter_1(0.5), balanced_tritter(), net_v
+                preps, SourceParams(), DetectionCascade(TRITTER_1, 0.5), balanced_tritter(), net_v
             )
             total = sum(counts.series.values())
             assert np.max(np.abs(total - 1.0)) < 1e-12
@@ -293,7 +297,9 @@ class TestSimulateCounts:
         with pytest.raises(DomainError, match="one value per x value"):
             ScanResult("tau", np.zeros(2), {"P111": np.zeros(2), "P011": np.zeros(3)})
 
-    @pytest.mark.parametrize("cascade", [cascade_beamsplitters_1_3(0.5), cascade_tritter_1(0.5)])
+    @pytest.mark.parametrize(
+        "cascade", [DetectionCascade(BEAMSPLITTERS_1_3), DetectionCascade(TRITTER_1)]
+    )
     def test_clip_moves_no_value_by_more_than_1e_12(self, cascade, monkeypatch):
         # At budget 6/1 patterns of four clicks cannot occur.  The (1, 1, 1)
         # map, about half the herald norm, moves 1e-12 of its column sums from
@@ -328,9 +334,22 @@ class TestSimulateCounts:
         assert counts.metadata["click_most_negative"] == raw.min()
         assert counts.metadata["click_sum_max_deviation"] <= 1e-12
 
+    def test_nan_click_pattern_rejected(self, monkeypatch):
+        # A NaN passes no comparison, so the click check must not read it as in band.
+        def poisoned(*args):
+            maps = _click_maps(*args)
+            maps[(1, 1, 1)] = np.where(maps[(1, 1, 1)] > 0.0, maps[(1, 1, 1)], np.nan)
+            return maps
+
+        monkeypatch.setattr(experiment, "_click_maps", poisoned)
+        preps = delay_scan_preparations("all_H", [0.0], 1.0)
+        with pytest.raises(NumericalInconsistency, match="click sums"):
+            simulate_counts(preps, SourceParams(), DetectionCascade(TRITTER_1))
+
     @pytest.mark.parametrize("budget", [(6, 1), (8, 3)])
     @pytest.mark.parametrize(
-        "cascade", [cascade_none(0.5), cascade_tritter_1(0.5), cascade_beamsplitters_1_3(0.5)]
+        "cascade",
+        [DetectionCascade(), DetectionCascade(TRITTER_1), DetectionCascade(BEAMSPLITTERS_1_3)],
     )
     def test_triad_series_are_cosine_series(self, cascade, budget):
         # Along the triad scan the overlap moduli stay at 1/2, so a point
@@ -353,14 +372,14 @@ class TestSimulateCounts:
         counts = simulate_counts(
             delay_scan_preparations("all_H", [0.0], 1.0),
             SourceParams(),
-            cascade_none(0.5),
+            DetectionCascade(),
         )
         assert counts.metadata["truncation_deficit"] < 1e-3
 
     def test_purity_degrades_suppression(self):
         taus = [0.0]
         preps = delay_scan_preparations("all_H", taus, 1.0)
-        pure = simulate_counts(preps, IDEAL_SOURCE, cascade_beamsplitters_1_3(1.0))
+        pure = simulate_counts(preps, IDEAL_SOURCE, DetectionCascade(BEAMSPLITTERS_1_3, 1.0))
         impure_source = SourceParams(
             squeezing=0.16,
             purity=0.8,
@@ -370,7 +389,7 @@ class TestSimulateCounts:
             truncation_noise_photons=0,
             herald_efficiency=1.0,
         )
-        impure = simulate_counts(preps, impure_source, cascade_beamsplitters_1_3(1.0))
+        impure = simulate_counts(preps, impure_source, DetectionCascade(BEAMSPLITTERS_1_3, 1.0))
         assert pure.series["N210"][0] == pytest.approx(0.0, abs=1e-12)
         assert impure.series["N210"][0] > 1e-4
 
@@ -380,6 +399,11 @@ class TestSimulateCounts:
 SMALL_SOURCES = (
     SourceParams(truncation_total_photons=6, truncation_noise_photons=2),
     SourceParams(truncation_total_photons=7, truncation_noise_photons=3),
+)
+MIXED_CASCADES = (
+    DetectionCascade(NO_SPLITTERS, 0.7),
+    DetectionCascade(BEAMSPLITTERS_1_3, 0.6),
+    DetectionCascade(TRITTER_1, 0.5),
 )
 
 
@@ -426,7 +450,7 @@ def per_term_counts(preps, source, cascade, net_h, net_v):
 
 class TestRunLevelMaps:
     @pytest.mark.parametrize("source", SMALL_SOURCES)
-    @pytest.mark.parametrize("cascade", [cascade_beamsplitters_1_3(0.6), cascade_tritter_1(0.5)])
+    @pytest.mark.parametrize("cascade", MIXED_CASCADES[1:])
     @pytest.mark.parametrize("split", [False, True])
     def test_matches_per_term_path(self, cascade, split, source):
         net_h = balanced_tritter()
@@ -448,9 +472,10 @@ class TestRunLevelMaps:
         # input modes through the network and then the cascade.
         rng = np.random.default_rng(11)
         net_h, net_v = balanced_tritter(), perturbed_tritter()
-        cascades = (cascade_none(0.7), cascade_beamsplitters_1_3(0.6), cascade_tritter_1(0.5))
         pair_configurations = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 1, 1)]
-        for cascade, l_total, pairs in itertools.product(cascades, range(3), pair_configurations):
+        for cascade, l_total, pairs in itertools.product(
+            MIXED_CASCADES, range(3), pair_configurations
+        ):
             c = [0.0] * l_total + [1.0]
             (matrix,) = _click_maps({pairs: c}, cascade, net_h, net_v).values()
             occupations = output_occupations(sum(pairs), 3)
@@ -467,8 +492,8 @@ class TestRunLevelMaps:
 
     def test_click_map_columns_sum_to_heralded_weight(self):
         net_h, net_v = balanced_tritter(), perturbed_tritter()
-        cascades = (cascade_none(0.7), cascade_beamsplitters_1_3(0.6), cascade_tritter_1(0.5))
-        for source, cascade in itertools.product(SMALL_SOURCES + (SourceParams(),), cascades):
+        sources = SMALL_SOURCES + (SourceParams(),)
+        for source, cascade in itertools.product(sources, MIXED_CASCADES):
             heralded = heralded_ensemble(source)
             maps = _click_maps(heralded, cascade, net_h, net_v)
             assert list(maps) == list(heralded)
@@ -583,11 +608,11 @@ class TestPolarizationDependence:
     def test_counts_differ_under_polarisation_dependence(self):
         phis = [0.0, math.pi / 2, math.pi]
         preps = triad_scan_preparations([theta_for_phase(p) for p in phis], 1.0)
-        base = simulate_counts(preps, IDEAL_SOURCE, cascade_none(1.0), x_values=phis)
+        base = simulate_counts(preps, IDEAL_SOURCE, PERFECT_DETECTORS, x_values=phis)
         split = simulate_counts(
             preps,
             IDEAL_SOURCE,
-            cascade_none(1.0),
+            PERFECT_DETECTORS,
             balanced_tritter(),
             perturbed_tritter(),
             x_values=phis,

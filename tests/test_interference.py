@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triphoton.errors import DomainError, SizeLimit
+from triphoton.errors import (
+    DomainError,
+    NumericalInconsistency,
+    SizeLimit,
+    TriadPhaseUndefined,
+)
 from triphoton.interference import (
     EventSpec,
     Network,
     balanced_beamsplitter,
     balanced_tritter,
     _columns_distribution,
+    _finalize_probabilities,
     event_distribution,
     event_probability,
     _occupations,
@@ -22,8 +28,15 @@ from triphoton.interference import (
     tritter_bunched,
     tritter_p111,
 )
-from triphoton.mixedstate import permanent
-from triphoton.modes import GramMatrix, triad_phase
+from triphoton.mixedstate import InternalDensity, permanent
+from triphoton.modes import (
+    GaussianTemporalMode,
+    GramMatrix,
+    InternalState,
+    PolarizationState,
+    gram_matrix,
+    triad_phase,
+)
 
 
 def random_gram(rng, n=3, rank=None):
@@ -388,3 +401,85 @@ class TestTwoPhotonMarginals:
                 sub = g[np.ix_(pair, pair)]
                 p = event_probability(balanced_tritter(), EventSpec(pair, occ), sub)
                 assert p == pytest.approx(expected)
+
+
+def with_nan(matrix, index):
+    """A complex copy of ``matrix`` with a NaN at ``index``."""
+    out = np.array(matrix, dtype=complex)
+    out[index] = np.nan
+    return out
+
+
+HALF_GRAM = gram_with_phases((0.5, 0.5, 0.5), (0.0, 0.0, 0.0)).entries
+
+
+class TestNaN:
+    """A NaN in a validated input or a computed probability is rejected, not passed on."""
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            pytest.param(lambda: Network(np.full((3, 3), np.nan)), DomainError, id="network"),
+            pytest.param(
+                lambda: Network(with_nan(balanced_tritter().matrix, (1, 2))),
+                DomainError,
+                id="network-entry",
+            ),
+            pytest.param(lambda: PolarizationState(np.nan, 0.0), DomainError, id="polarisation"),
+            pytest.param(
+                lambda: InternalState(GaussianTemporalMode(0.0), aux=(np.nan, 1.0)),
+                DomainError,
+                id="aux",
+            ),
+            pytest.param(
+                lambda: GramMatrix(with_nan(HALF_GRAM, (0, 1))),
+                DomainError,
+                id="gram-off-diagonal",
+            ),
+            pytest.param(
+                lambda: GramMatrix(with_nan(HALF_GRAM, (2, 2))), DomainError, id="gram-diagonal"
+            ),
+            pytest.param(
+                lambda: gram_matrix([InternalState(GaussianTemporalMode(t)) for t in (0, np.nan)]),
+                DomainError,
+                id="gram-of-nan-delay",
+            ),
+            pytest.param(
+                lambda: InternalDensity(with_nan(np.eye(2) / 2, (0, 1))),
+                DomainError,
+                id="density",
+            ),
+            pytest.param(
+                lambda: triad_phase(with_nan(HALF_GRAM, (1, 2))),
+                TriadPhaseUndefined,
+                id="triad-phase-array",
+            ),
+            pytest.param(
+                lambda: event_distribution(
+                    balanced_tritter(), (0, 1, 2), with_nan(HALF_GRAM, (0, 2))
+                ),
+                DomainError,
+                id="event-distribution-gram",
+            ),
+            pytest.param(
+                lambda: event_distribution(
+                    balanced_tritter(), (0, 1), with_nan(np.eye(2), (1, 1))
+                ),
+                DomainError,
+                id="event-distribution-gram-diagonal",
+            ),
+            pytest.param(
+                lambda: _finalize_probabilities(np.array([0.5, np.nan])),
+                NumericalInconsistency,
+                id="probability-real",
+            ),
+            pytest.param(
+                lambda: _finalize_probabilities(np.array([0.5, complex(0.5, np.nan)])),
+                NumericalInconsistency,
+                id="probability-imaginary",
+            ),
+        ],
+    )
+    def test_rejected(self, make, error):
+        with pytest.raises(error):
+            make()
