@@ -195,6 +195,11 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _checked(raw)
+
+
+def _checked(raw) -> dict:
+    """``raw`` if it satisfies the schema and holds only blocks its mode reads."""
     errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(raw), key=lambda e: e.json_path)
     details = [f"{e.json_path}: {e.message}" for e in errors]
     mode = raw.get("mode") if isinstance(raw, dict) else None
@@ -404,19 +409,6 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
         return 2
 
 
-def _validation_int(key: str):
-    """argparse type for ``validation.<key>``, with the config schema's lower bound."""
-    minimum = CONFIG_SCHEMA["properties"]["validation"]["properties"][key]["minimum"]
-
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    return integer
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="triphoton",
@@ -431,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_val = sub.add_parser("validate", help="run the oracle-equivalence suite")
     for key in ("instances", "seed"):
-        p_val.add_argument(f"--{key}", type=_validation_int(key), default=VALIDATION_DEFAULTS[key])
+        p_val.add_argument(f"--{key}", type=int, default=VALIDATION_DEFAULTS[key])
 
     sub.add_parser("version", help="print the library version")
 
@@ -440,6 +432,13 @@ def main(argv: list[str] | None = None) -> int:
         print(__version__)
         return 0
     if args.command == "validate":
+        # The flags obey the schema of a config's validation block.
+        validation = {"instances": args.instances, "seed": args.seed}
+        try:
+            _checked({"mode": "validate", "validation": validation})
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         return _validate(args.instances, args.seed)[1]
     return run(args.config, args.out_dir, args.format)
 

@@ -10,7 +10,7 @@ class DomainError(TriphotonError, ValueError):
 
 
 class UnsupportedModePair(DomainError):
-    """Two internal states cannot be overlapped (different widths or auxiliary dimensions)."""
+    """Two temporal modes have no closed-form overlap (their Gaussian widths differ)."""
 
 
 class TriadPhaseUndefined(TriphotonError):

@@ -4,7 +4,7 @@ The pure-state Gram matrix generalises to trace expressions: pairwise terms
 carry Tr(rho_i rho_j) and the genuine three-photon term carries the cyclic
 trace Tr(rho_1 rho_2 rho_3), paired with Hadamard-product permanents of the
 scattering matrix.  Mixedness of heralded photons is modelled on a small
-auxiliary space: a weight-p common mode shared by all photons plus a distinct
+mixedness space: a weight-p common mode shared by all photons plus a distinct
 mode per photon, with p fixed by the requested purity.  The temporal modes
 are expanded over a triangular (Gram-Schmidt) basis.
 
@@ -149,8 +149,6 @@ def build_densities(states: list[InternalState], purity: float) -> list[Internal
     n = len(states)
     if n < 1:
         raise DomainError("need at least one state")
-    if any(s.aux for s in states):
-        raise DomainError("density construction expects states without auxiliary components")
     p = _mixing_weight(purity)
 
     # Row pairing sum_k C[i,k]*conj(C[j,k]) reproduces the temporal overlaps,

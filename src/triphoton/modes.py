@@ -1,11 +1,11 @@
 """Single-photon internal states and their overlaps.
 
 A photon's internal state factorises into a temporal mode (a delayed Gaussian
-wavepacket), a polarisation qubit and an optional vector over a shared
-auxiliary orthonormal basis.  Pairwise overlaps are exact products of the
-per-factor overlaps; from them we build Gram matrices and the collective
-phase of a photon triple.  Every check compares as ``not err <= tol``, so a
-NaN fails it.
+wavepacket) and a polarisation qubit, the two degrees of freedom that set
+every distinguishability in the experiment.  Pairwise overlaps are exact
+products of the two factors' overlaps; from them we build Gram matrices and
+the collective phase of a photon triple.  Every check compares as
+``not err <= tol``, so a NaN fails it.
 
 Scalar products are paired as ``sum_k a_k * conj(b_k)`` (first argument
 unconjugated).  With this pairing the polarisation recipes used in the
@@ -64,22 +64,14 @@ class PolarizationState:
 
 @dataclass(frozen=True)
 class InternalState:
-    """Product internal state: temporal mode x polarisation x auxiliary vector.
+    """Product internal state: temporal mode x polarisation.
 
-    ``aux`` is a (possibly empty) unit vector over a shared auxiliary
-    orthonormal basis, used for bookkeeping of noise photons and mixedness.
-    An empty ``aux`` denotes a trivial auxiliary factor.
+    Mixedness and noise photons enter through the Gram matrix (``mixedstate``,
+    ``experiment``), never as a further factor of the state.
     """
 
     temporal: GaussianTemporalMode
     polarization: PolarizationState = field(default_factory=PolarizationState.horizontal)
-    aux: tuple[complex, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.aux:
-            norm = sum(abs(a) ** 2 for a in self.aux)
-            if not abs(norm - 1.0) <= 1e-12:
-                raise DomainError(f"aux norm^2 deviates from 1 by {abs(norm - 1.0):.3e}")
 
 
 def temporal_overlap(a: GaussianTemporalMode, b: GaussianTemporalMode) -> complex:
@@ -95,17 +87,11 @@ def temporal_overlap(a: GaussianTemporalMode, b: GaussianTemporalMode) -> comple
 
 
 def overlap(a: InternalState, b: InternalState) -> complex:
-    """Full internal-state overlap: product of temporal, polarisation and aux factors."""
-    if len(a.aux) != len(b.aux):
-        raise UnsupportedModePair(
-            f"auxiliary basis dimensions differ ({len(a.aux)} vs {len(b.aux)})"
-        )
+    """Full internal-state overlap: product of the temporal and polarisation factors."""
     value = temporal_overlap(a.temporal, b.temporal)
     value *= a.polarization.amplitude_h * np.conj(b.polarization.amplitude_h) + (
         a.polarization.amplitude_v * np.conj(b.polarization.amplitude_v)
     )
-    if a.aux:
-        value *= sum(x * np.conj(y) for x, y in zip(a.aux, b.aux))
     return complex(value)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, SizeLimit
 from .interference import Network, event_distribution
-from .modes import GaussianTemporalMode, InternalState, PolarizationState, gram_matrix
+from .modes import GramMatrix, InternalState, gram_matrix
 
 ORACLE_MAX_PHOTONS = 6
 
@@ -131,33 +131,15 @@ def random_unitary(rng: np.random.Generator, m: int) -> Network:
     return Network(q * phases[None, :])
 
 
-def random_internal_states(
-    rng: np.random.Generator, n: int, aux_dim: int = 3
-) -> list[InternalState]:
-    """Random product internal states: delays, polarisations and aux vectors."""
-    states = []
-    for _ in range(n):
-        t = float(rng.uniform(-1.5, 1.5))
-        pol = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        pol = pol / np.linalg.norm(pol)
-        aux = rng.standard_normal(aux_dim) + 1j * rng.standard_normal(aux_dim)
-        aux = aux / np.linalg.norm(aux)
-        states.append(
-            InternalState(
-                temporal=GaussianTemporalMode(t, 1.0),
-                polarization=PolarizationState(complex(pol[0]), complex(pol[1])),
-                aux=tuple(complex(a) for a in aux),
-            )
-        )
-    return states
-
-
 def equivalence_report(instances: int, seed: int) -> dict:
     """Compare the permutation-sum engine against this oracle on random instances.
 
     Instances cycle through 2, 3 and 4 photons on random networks of at least
-    3 modes.  Every output occupation of every instance is checked; the
-    report carries the largest absolute deviation observed.
+    3 modes.  The n photons' internal states are n random unit vectors ``V``
+    in n dimensions: the oracle expands ``V`` itself and the engine gets the
+    Gram matrix ``V V^dagger``, so neither side is derived from the other.
+    Every output occupation of every instance is checked; the report carries
+    the largest absolute deviation observed.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -167,12 +149,11 @@ def equivalence_report(instances: int, seed: int) -> dict:
         # One photon per input: 4 photons need a 4-mode network.
         m = max(3, n)
         net = random_unitary(rng, m)
-        states = random_internal_states(rng, n)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        vectors = z / np.linalg.norm(z, axis=1, keepdims=True)
         inputs = [int(j) for j in rng.permutation(m)[:n]]
-        g = gram_matrix(states)
-        reference = evolve_and_measure(
-            expand_inputs(states, inputs, n_modes=m), net
-        )
+        reference = evolve_and_measure(expand_from_vectors(vectors, inputs, m), net)
+        g = GramMatrix(vectors @ vectors.conj().T)
         for occ, p_sum in event_distribution(net, tuple(inputs), g).items():
             worst = max(worst, abs(p_sum - reference.get(occ, 0.0)))
             checked += 1

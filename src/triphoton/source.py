@@ -145,10 +145,6 @@ class EmissionTerm:
     idler_noise: tuple[int, int, int]
     weight: float
 
-    @property
-    def total_photons(self) -> int:
-        return sum(2 * n + k + l for n, k, l in zip(self.pairs, self.signal_noise, self.idler_noise))
-
 
 def enumerate_terms(params: SourceParams) -> list[EmissionTerm]:
     """All retained joint emission terms, lexicographic in (pairs, signal noise, idler noise).

@@ -433,19 +433,17 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("instances", ["-3", "0"])
     def test_validate_rejects_instances_below_one(self, capsys, instances):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", "--instances", instances])
-        assert exc.value.code == 2
+        assert main(["validate", "--instances", instances]) == 2
         captured = capsys.readouterr()
-        assert "must be at least 1" in captured.err
+        assert "$.validation.instances" in captured.err
+        assert "minimum of 1" in captured.err
         assert "validated" not in captured.out
 
     def test_validate_rejects_negative_seed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", "--instances", "1", "--seed", "-1"])
-        assert exc.value.code == 2
+        assert main(["validate", "--instances", "1", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
-        assert "must be at least 0" in captured.err
+        assert "$.validation.seed" in captured.err
+        assert "minimum of 0" in captured.err
         assert "validated" not in captured.out
 
     def test_python_m_package(self):

@@ -427,11 +427,6 @@ class TestNaN:
             ),
             pytest.param(lambda: PolarizationState(np.nan, 0.0), DomainError, id="polarisation"),
             pytest.param(
-                lambda: InternalState(GaussianTemporalMode(0.0), aux=(np.nan, 1.0)),
-                DomainError,
-                id="aux",
-            ),
-            pytest.param(
                 lambda: GramMatrix(with_nan(HALF_GRAM, (0, 1))),
                 DomainError,
                 id="gram-off-diagonal",

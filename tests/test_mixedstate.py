@@ -125,13 +125,6 @@ class TestBuildDensity:
             for rho in build_densities(prepare(preps[0]), 0.9):
                 assert abs(np.trace(rho.matrix) - 1.0) < 1e-14
 
-    def test_aux_states_rejected(self):
-        from triphoton.modes import GaussianTemporalMode, InternalState
-
-        s = InternalState(GaussianTemporalMode(0.0, 1.0), aux=(1.0,))
-        with pytest.raises(DomainError):
-            build_density(s, 0.9)
-
 
 class TestP111Mixed:
     def test_identical_pure_photons(self):

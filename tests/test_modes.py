@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from product_states import random_product_states
 from spectra import normalised, phase_spread, spectral_overlap
 from triphoton.errors import DomainError, TriadPhaseUndefined, UnsupportedModePair
 from triphoton.modes import (
@@ -17,7 +18,6 @@ from triphoton.modes import (
     temporal_overlap,
     triad_phase,
 )
-from triphoton.oracle import random_internal_states
 
 
 def gaussian_spectrum(sigma=1.0, center=0.0, half_width=9.0, points=4001):
@@ -83,16 +83,10 @@ class TestOverlap:
         s2 = InternalState(t, PolarizationState(0.5 * math.sqrt(3), 0.5))
         assert overlap(s1, s2) == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
 
-    def test_aux_dimension_mismatch(self):
-        g = InternalState(GaussianTemporalMode(0.0, 1.0))
-        a = InternalState(GaussianTemporalMode(0.0, 1.0), aux=(1.0,))
-        with pytest.raises(UnsupportedModePair):
-            overlap(g, a)
-
     def test_hermiticity_and_cauchy_schwarz(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            a, b = random_internal_states(rng, 2)
+            a, b = random_product_states(rng, 2)
             v, w = overlap(a, b), overlap(b, a)
             assert v == pytest.approx(np.conj(w), abs=1e-12)
             assert abs(v) <= 1.0 + 1e-12
@@ -103,11 +97,6 @@ class TestGramMatrix:
         s = InternalState(GaussianTemporalMode(0.0, 1.0))
         g = gram_matrix([s, s, s])
         assert np.allclose(g.entries, 1.0)
-
-    def test_orthogonal_aux_identity(self):
-        t = GaussianTemporalMode(0.0, 1.0)
-        states = [InternalState(t, aux=tuple(np.eye(3)[i])) for i in range(3)]
-        assert np.allclose(gram_matrix(states).entries, np.eye(3))
 
     def test_static_pi_moduli(self):
         t = GaussianTemporalMode(0.0, 1.0)
@@ -123,7 +112,7 @@ class TestGramMatrix:
     def test_generated_matrices_are_psd(self):
         rng = np.random.default_rng(5)
         for n in (2, 3, 4):
-            g = gram_matrix(random_internal_states(rng, n))
+            g = gram_matrix(random_product_states(rng, n))
             assert np.min(np.linalg.eigvalsh(g.entries)) >= -1e-9
 
     def test_validation_rejects_bad_matrices(self):
@@ -147,7 +136,7 @@ class TestTriadPhase:
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            states = random_internal_states(rng, 3)
+            states = random_product_states(rng, 3)
             phi = triad_phase(gram_matrix(states))
             chi = rng.uniform(0, 2 * math.pi)
             rotated = list(states)
@@ -157,7 +146,6 @@ class TestTriadPhase:
                 PolarizationState(
                     pol.amplitude_h * np.exp(1j * chi), pol.amplitude_v * np.exp(1j * chi)
                 ),
-                rotated[1].aux,
             )
             assert circular_distance(triad_phase(gram_matrix(rotated)), phi) < 1e-12
 

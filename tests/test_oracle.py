@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from product_states import random_product_states
 from triphoton.experiment import (
     _PointModel,
     prepare,
@@ -28,7 +29,6 @@ from triphoton.oracle import (
     evolve_and_measure,
     expand_from_vectors,
     expand_inputs,
-    random_internal_states,
     random_unitary,
     vectors_from_gram,
 )
@@ -102,10 +102,7 @@ class TestEvolveAndMeasure:
             assert dist.get(occ, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_photons_tritter(self):
-        states = [
-            InternalState(T0, aux=tuple(np.eye(3)[i].astype(complex))) for i in range(3)
-        ]
-        dist = evolve_and_measure(expand_inputs(states, [0, 1, 2]), TRITTER)
+        dist = evolve_and_measure(expand_from_vectors(np.eye(3), [0, 1, 2], 3), TRITTER)
         assert dist[(1, 1, 1)] == pytest.approx(2 / 9, abs=1e-12)
 
     def test_hom_dip(self):
@@ -130,7 +127,7 @@ class TestEvolveAndMeasure:
         for n in (2, 3, 4):
             m = max(3, n)
             net = random_unitary(rng, m)
-            states = random_internal_states(rng, n)
+            states = random_product_states(rng, n)
             modes = [int(i) for i in rng.integers(0, m, size=n)]
             dist = evolve_and_measure(expand_inputs(states, modes, n_modes=m), net)
             assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-10)
@@ -138,7 +135,7 @@ class TestEvolveAndMeasure:
     def test_permutation_covariance(self):
         rng = np.random.default_rng(9)
         net = random_unitary(rng, 3)
-        states = random_internal_states(rng, 3)
+        states = random_product_states(rng, 3)
         base = evolve_and_measure(expand_inputs(states, [0, 1, 2]), net)
         perm = [2, 0, 1]
         # relabelling photons together with their inputs leaves physics alone
@@ -148,16 +145,14 @@ class TestEvolveAndMeasure:
 
     def test_polarisation_blocks_match_plain_path(self):
         # With U_H == U_V the doubled network must reproduce the plain one.
+        # Each photon's internal vector is (other factor) x (polarisation).
         rng = np.random.default_rng(15)
         net = random_unitary(rng, 3)
-        states_eq = [
-            InternalState(T0, s.polarization, s.aux)
-            for s in random_internal_states(rng, 3, aux_dim=2)
-        ]
-        plain = evolve_and_measure(expand_inputs(states_eq, [0, 1, 2]), net)
-        pols = [(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in states_eq]
-        aux = np.array([s.aux for s in states_eq], dtype=complex)
-        fock = expand_from_vectors(aux, [0, 1, 2], 6)
+        z = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+        other, pols = z / np.linalg.norm(z, axis=2, keepdims=True)
+        vectors = np.array([np.kron(w, pol) for w, pol in zip(other, pols)])
+        plain = evolve_and_measure(expand_from_vectors(vectors, [0, 1, 2], 3), net)
+        fock = expand_from_vectors(other, [0, 1, 2], 6)
         blocked = fold_polarisation(evolve_and_measure(fock, doubled_network(net, net, pols)), 3)
         for occ in set(plain) | set(blocked):
             assert blocked.get(occ, 0.0) == pytest.approx(plain.get(occ, 0.0), abs=1e-12)
@@ -173,7 +168,7 @@ class TestSubstitution:
     @pytest.fixture
     def fock(self):
         rng = np.random.default_rng(41)
-        s0, s1, s2 = random_internal_states(rng, 3)
+        s0, s1, s2 = random_product_states(rng, 3)
         fock = expand_inputs([s0, s1, s2, s0], [0, 0, 2, 3], n_modes=4)
         assert fock.internal_dim == 3
         return fock
@@ -210,7 +205,7 @@ class TestEquivalence:
 class TestVectorsReproduceGram:
     def test_pairing(self):
         rng = np.random.default_rng(21)
-        states = random_internal_states(rng, 4)
+        states = random_product_states(rng, 4)
         g = gram_matrix(states).entries
         v = vectors_from_gram(g)
         assert np.max(np.abs(v @ v.conj().T - g)) < 1e-10

@@ -96,7 +96,8 @@ class TestEnumerateTerms:
     def test_truncation_bounds(self):
         terms = enumerate_terms(NOMINAL)
         for t in terms:
-            assert t.total_photons <= NOMINAL.truncation_total_photons
+            total = 2 * sum(t.pairs) + sum(t.signal_noise) + sum(t.idler_noise)
+            assert total <= NOMINAL.truncation_total_photons
             assert sum(t.signal_noise) + sum(t.idler_noise) <= NOMINAL.truncation_noise_photons
 
     def test_weights_positive_and_sum_below_one(self):
