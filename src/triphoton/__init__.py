@@ -81,7 +81,6 @@ from .oracle import (
     equivalence_report,
     evolve_and_measure,
     expand_from_vectors,
-    expand_inputs,
 )
 from .source import (
     EmissionTerm,

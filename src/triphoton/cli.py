@@ -145,7 +145,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "instances": {"type": "integer", "minimum": 1},
+                "instances": {"type": "integer", "minimum": 1, "maximum": 100000},
                 "seed": {"type": "integer", "minimum": 0},
             },
         },

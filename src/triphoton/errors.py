@@ -22,7 +22,7 @@ class NumericalInconsistency(TriphotonError):
 
 
 class SizeLimit(TriphotonError):
-    """Requested photon number exceeds the configured exact-evaluation cap."""
+    """A request exceeds an exact-evaluation cap: photons, or the oracle's codes or step size."""
 
 
 class ConfigError(TriphotonError):

@@ -5,8 +5,10 @@ A state is a product of one creation operator per photon.  The network
 substitutes ``a_dag[j, x] -> sum_k U[k, j] a_dag[k, x]`` in each photon's
 creation operator; the product is then expanded once into occupation
 amplitudes, one photon at a time, and probabilities follow from the Born
-rule.  No permutation sum and no occupation table is shared with the engine
-this checks.  Deliberately simple; correctness gate only.
+rule.  The expansion runs on arrays: a term is the sorted list of its
+photons' slots, and equal terms are merged through their base-``width``
+integer codes.  No permutation sum and no occupation table is shared with
+the engine this checks.  Deliberately simple; correctness gate only.
 """
 
 from __future__ import annotations
@@ -14,15 +16,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError, SizeLimit
 from .interference import Network, event_distribution
-from .modes import GramMatrix, InternalState, gram_matrix
+from .modes import GramMatrix
 
 ORACLE_MAX_PHOTONS = 6
+# Bytes one creation step may allocate for its (terms x nonzero slots) rows:
+# their slot lists, integer codes and amplitudes.
+STEP_BYTES_LIMIT = 1 << 28
+
+
+def _merge(rows: np.ndarray, amps: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the entries of ``amps`` whose sorted ``rows`` are equal.
+
+    Each row is read as a base-``base`` integer; returns one row per distinct
+    code, in ascending code order, with the summed amplitudes.
+    """
+    powers = base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(rows @ powers, return_index=True, return_inverse=True)
+    merged = np.bincount(inverse, weights=amps.real, minlength=len(first)).astype(amps.dtype)
+    if np.iscomplexobj(amps):
+        merged += 1j * np.bincount(inverse, weights=amps.imag, minlength=len(first))
+    return rows[first], merged
+
+
+def _occupations(rows: np.ndarray, width: int) -> list[tuple[int, ...]]:
+    """The occupation tuple over ``width`` slots of each sorted slot list in ``rows``."""
+    flat = rows + width * np.arange(len(rows))[:, None]
+    counts = np.bincount(flat.ravel(), minlength=len(rows) * width)
+    return list(map(tuple, counts.reshape(len(rows), width).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,35 +69,45 @@ class FockState:
         rows = np.array(self.photons, dtype=complex)
         if rows.ndim != 2 or rows.shape[1] != self.n_modes * self.internal_dim:
             raise DomainError("one row of n_modes * internal_dim amplitudes per photon required")
+        n, width = rows.shape
+        if width**n > np.iinfo(np.int64).max:
+            raise SizeLimit(f"{n} photons over {width} slots overflow the int64 term codes")
         rows.flags.writeable = False
         object.__setattr__(self, "photons", rows)
 
     @cached_property
-    def amplitudes(self) -> dict[tuple[int, ...], complex]:
-        """Occupation amplitudes: the photons created one at a time, equal keys merged."""
-        poly = {(0,) * self.photons.shape[1]: 1.0 + 0.0j}
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, amps)``: one sorted slot list per term and its normalised amplitude.
+
+        The photons are created one at a time: ``a_dag |n> = sqrt(n + 1)
+        |n + 1>`` extends every term by each nonzero slot of the photon's row,
+        then equal terms are merged.
+        """
+        width = self.photons.shape[1]
+        slots = np.zeros((1, 0), dtype=np.int64)
+        amps = np.ones(1, dtype=complex)
         for row in self.photons:
-            terms = [(s, c) for s, c in enumerate(row.tolist()) if c != 0]
-            created: dict[tuple[int, ...], complex] = {}
-            for occ, amp in poly.items():
-                for s, c in terms:
-                    # a_dag |n> = sqrt(n + 1) |n + 1> in slot s.
-                    count = occ[s] + 1
-                    key = occ[:s] + (count,) + occ[s + 1 :]
-                    created[key] = created.get(key, 0.0) + amp * c * math.sqrt(count)
-            poly = created
-        norm = math.sqrt(math.fsum(abs(a) ** 2 for a in poly.values()))
-        return {occ: a / norm for occ, a in poly.items()}
+            nonzero = np.flatnonzero(row)
+            size = len(slots) * len(nonzero)
+            if size * (8 * slots.shape[1] + 32) > STEP_BYTES_LIMIT:
+                raise SizeLimit(f"an oracle step of {size} terms exceeds {STEP_BYTES_LIMIT} bytes")
+            extended = np.empty((size, slots.shape[1] + 1), dtype=np.int64)
+            extended[:, :-1] = np.repeat(slots, len(nonzero), axis=0)
+            extended[:, -1] = np.tile(nonzero, len(slots))
+            # n + 1: the new slot's occupation once the photon is created.
+            count = np.count_nonzero(extended == extended[:, -1:], axis=1)
+            created = np.repeat(amps, len(nonzero))
+            created *= np.tile(row[nonzero], len(slots))
+            created *= np.sqrt(count)
+            extended.sort(axis=1)
+            slots, amps = _merge(extended, created, width)
+        return slots, amps / np.linalg.norm(amps)
 
-
-def vectors_from_gram(g: np.ndarray) -> np.ndarray:
-    """Orthonormal-basis coefficient vectors reproducing the Gram matrix ``g``.
-
-    Rank-deficient Gram matrices are truncated to their numerical rank.
-    """
-    vals, vecs = np.linalg.eigh(np.asarray(g, dtype=complex))
-    keep = vals > max(1e-12, 1e-12 * vals.max())
-    return vecs[:, keep] * np.sqrt(vals[keep])[None, :]
+    @cached_property
+    def amplitudes(self) -> dict[tuple[int, ...], complex]:
+        """Occupation amplitudes, keyed by the occupation tuple over the slots."""
+        slots, amps = self.terms
+        return dict(zip(_occupations(slots, self.photons.shape[1]), amps.tolist()))
 
 
 def expand_from_vectors(vectors: np.ndarray, input_modes: list[int], n_modes: int) -> FockState:
@@ -92,15 +127,6 @@ def expand_from_vectors(vectors: np.ndarray, input_modes: list[int], n_modes: in
     return FockState(n_modes, d, rows.reshape(n, n_modes * d))
 
 
-def expand_inputs(
-    states: list[InternalState], input_modes: list[int], *, n_modes: int | None = None
-) -> FockState:
-    """Expand photons with the given internal states into a Fock state."""
-    if n_modes is None:
-        n_modes = max(input_modes) + 1
-    return expand_from_vectors(vectors_from_gram(gram_matrix(states).entries), input_modes, n_modes)
-
-
 def evolve_amplitudes(fock: FockState, net: Network) -> FockState:
     """The state after the network: (U (x) 1) applied to every photon's row."""
     u = net.matrix
@@ -114,13 +140,9 @@ def evolve_amplitudes(fock: FockState, net: Network) -> FockState:
 def evolve_and_measure(fock: FockState, net: Network) -> dict[tuple[int, ...], float]:
     """Map from spatial output occupation to probability after the network."""
     evolved = evolve_amplitudes(fock, net)
-    m, d, amps = evolved.n_modes, evolved.internal_dim, evolved.amplitudes
-    slots = np.fromiter(chain.from_iterable(amps), dtype=int, count=len(amps) * m * d)
-    spatial = slots.reshape(len(amps), m, d).sum(axis=2)
-    probs: dict[tuple[int, ...], float] = {}
-    for occ, amp in zip(map(tuple, spatial.tolist()), amps.values()):
-        probs[occ] = probs.get(occ, 0.0) + abs(amp) ** 2
-    return probs
+    slots, amps = evolved.terms
+    modes, probs = _merge(slots // evolved.internal_dim, np.abs(amps) ** 2, evolved.n_modes)
+    return dict(zip(_occupations(modes, evolved.n_modes), probs.tolist()))
 
 
 def random_unitary(rng: np.random.Generator, m: int) -> Network:

@@ -439,6 +439,13 @@ class TestMainEntry:
         assert "minimum of 1" in captured.err
         assert "validated" not in captured.out
 
+    def test_validate_rejects_instances_above_cap(self, capsys):
+        assert main(["validate", "--instances", str(10**12), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "$.validation.instances" in captured.err
+        assert "maximum of 100000" in captured.err
+        assert "validated" not in captured.out
+
     def test_validate_rejects_negative_seed(self, capsys):
         assert main(["validate", "--instances", "1", "--seed", "-1"]) == 2
         captured = capsys.readouterr()

@@ -208,6 +208,8 @@ def test_bases_run():
         # Overlap moduli outside (0, 1].
         ({"mode": "qubit-analysis", "qubit": {"r12": 2.0, "r23": 0.5, "r31": 0.5}}, 2),
         ({"mode": "qubit-analysis", "qubit": {"r12": 0, "r23": 0.5, "r31": 0.5}}, 2),
+        # More validation instances than the schema's cap of 100000.
+        ({"mode": "validate", "validation": {"instances": 10**12, "seed": 1}}, 2),
     ],
 )
 def test_extreme_inputs(config, code):

@@ -4,7 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from oracle_inputs import expand_inputs, vectors_from_gram
 from product_states import random_product_states
+from triphoton.errors import SizeLimit
 from triphoton.experiment import (
     _PointModel,
     prepare,
@@ -24,13 +26,13 @@ from triphoton.modes import (
     gram_matrix,
 )
 from triphoton.oracle import (
+    STEP_BYTES_LIMIT,
+    FockState,
     equivalence_report,
     evolve_amplitudes,
     evolve_and_measure,
     expand_from_vectors,
-    expand_inputs,
     random_unitary,
-    vectors_from_gram,
 )
 from triphoton.source import _mixing_weight
 
@@ -90,6 +92,74 @@ class TestExpansion:
         ]
         fock = expand_inputs(states, [0, 1, 2], n_modes=3)
         assert fock.internal_dim <= 2  # polarisation qubit, equal delays
+
+
+def first_quantised_amplitudes(photons):
+    """Occupation amplitudes of prod_p (sum_s photons[p, s] a_dag[s]) |0>, without the oracle.
+
+    Sums prod_p photons[p, s_p] over every slot tuple (s_1, ..., s_n), groups
+    the tuples by multiset and weights each multiset by sqrt(prod_s n_s!).
+    """
+    rows = np.asarray(photons, dtype=complex).tolist()
+    width = len(rows[0])
+    amps = {}
+    for slots in product(range(width), repeat=len(rows)):
+        occ = tuple(slots.count(s) for s in range(width))
+        amps[occ] = amps.get(occ, 0.0) + math.prod(row[s] for row, s in zip(rows, slots))
+    amps = {occ: a * math.sqrt(math.prod(map(math.factorial, occ))) for occ, a in amps.items()}
+    norm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps.values()))
+    return {occ: a / norm for occ, a in amps.items()}
+
+
+def assert_matches_first_quantised(fock):
+    reference = first_quantised_amplitudes(fock.photons)
+    for occ in set(reference) | set(fock.amplitudes):
+        assert abs(fock.amplitudes.get(occ, 0.0) - reference.get(occ, 0.0)) < 1e-12
+
+
+def random_rows(rng, n, width):
+    return rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+
+
+class TestFirstQuantisedReference:
+    """The array expansion against a sum over every slot tuple, for 1-4 photons."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_shared_input_mode(self, n):
+        rng = np.random.default_rng(60 + n)
+        inputs = [0, 0, 1, 0][:n]
+        fock = expand_from_vectors(random_rows(rng, n, 2), inputs, 3)
+        assert_matches_first_quantised(fock)
+        assert_matches_first_quantised(evolve_amplitudes(fock, random_unitary(rng, 3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_with_zeros(self, n):
+        rng = np.random.default_rng(70 + n)
+        rows = random_rows(rng, n, 5)
+        rows[rng.random(rows.shape) < 0.4] = 0.0
+        rows[:, n % 5] = 1.0  # no row is all zero
+        assert_matches_first_quantised(FockState(5, 1, rows))
+
+    def test_hom_pair_cancels(self):
+        fock = expand_from_vectors(np.ones((2, 1)), [0, 1], 2)
+        evolved = evolve_amplitudes(fock, balanced_beamsplitter())
+        assert_matches_first_quantised(evolved)
+        assert abs(evolved.amplitudes.get((1, 1), 0.0)) ** 2 < 1e-30
+
+
+class TestSizeLimits:
+    def test_term_codes_overflow_int64(self):
+        # 100 ** 10 slot tuples do not fit in int64 codes; refused at construction.
+        with pytest.raises(SizeLimit):
+            FockState(100, 1, np.ones((10, 100)))
+
+    def test_step_over_byte_budget(self):
+        # The second photon would make 8000 x 8000 rows, whose complex
+        # amplitudes alone pass the budget; the first makes 8000.
+        fock = FockState(8000, 1, np.ones((2, 8000)))
+        assert 8000 * 8000 * 16 > STEP_BYTES_LIMIT
+        with pytest.raises(SizeLimit):
+            fock.amplitudes
 
 
 class TestEvolveAndMeasure:
