@@ -35,7 +35,7 @@ from .experiment import (
     simulate_counts,
 )
 from .interference import DEFAULT_MAX_PHOTONS, Network
-from .modes import qubit_triad_phase
+from .modes import circular_distance, qubit_triad_phase
 from .oracle import equivalence_report
 from .source import SourceParams
 
@@ -381,8 +381,6 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
             "qubit_phases": list(phases),
         }
         if "measured_phi" in q:
-            from .modes import circular_distance
-
             dist = min(
                 (circular_distance(q["measured_phi"], p) for p in phases), default=math.inf
             )
@@ -395,7 +393,7 @@ def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) ->
         _write_metadata(directory / f"{prefix}_metadata.json", resolved, {})
         print(json.dumps(report, sort_keys=True))
         return 0
-    except (ConfigError, jsonschema.ValidationError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

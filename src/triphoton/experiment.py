@@ -80,6 +80,8 @@ class Preparation:
             raise DomainError(f"unknown recipe {self.recipe!r}")
         if self.recipe == "dynamic" and self.theta is None:
             raise DomainError("the dynamic recipe needs a rotation angle theta")
+        if self.recipe != "dynamic" and self.theta is not None:
+            raise DomainError(f"the {self.recipe} recipe reads no rotation angle theta")
 
 
 def prepare(prep: Preparation) -> list[InternalState]:

@@ -115,10 +115,6 @@ class GramMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 def gram_matrix(states: list[InternalState]) -> GramMatrix:
     """Gram matrix of pairwise overlaps of ``states``."""
@@ -153,42 +149,31 @@ def triad_phase(g: GramMatrix | np.ndarray) -> float:
 def qubit_triad_phase(r12: float, r23: float, r31: float) -> tuple[float, ...]:
     """Collective phases realisable by three states confined to a single qubit.
 
-    For moduli ``(r12, r23, r31)`` the qubit geometry fixes ``cos(gamma)`` of
-    the relative Bloch angle; the one or two admissible phases are returned,
-    reduced to [0, 2*pi).  An empty tuple means no qubit realisation exists
-    (the three states need a third internal dimension).
+    Three states in one qubit have a rank-2 Gram matrix, so
+    ``det G = 1 - r12^2 - r23^2 - r31^2 + 2 r12 r23 r31 cos(phi) = 0`` fixes
+    ``cos(phi)``; the one or two admissible phases are returned, reduced to
+    [0, 2*pi).  An empty tuple means no qubit realisation exists (the three
+    states need a third internal dimension).  The tests multiply by
+    ``2 r12 r23 r31`` rather than divide, so an underflow to 0 still answers.
     """
     for name, r in (("r12", r12), ("r23", r23), ("r31", r31)):
         if not 0.0 < r <= 1.0:
             raise DomainError(f"{name} must lie in (0, 1], got {r}")
-    ca, cb = r12, r31
-    sa = math.sqrt(max(0.0, 1.0 - ca * ca))
-    sb = math.sqrt(max(0.0, 1.0 - cb * cb))
-    if sa * sb < 1e-15:
-        # One pair is fully indistinguishable: the third overlap is forced.
-        forced = cb if sa < 1e-15 else ca
-        if abs(r23 - forced) > 1e-12:
-            return ()
-        return (0.0,)
-    cos_gamma = (r23 * r23 - ca * ca * cb * cb - sa * sa * sb * sb) / (2.0 * ca * cb * sa * sb)
-    if abs(cos_gamma) > 1.0 + 1e-12:
+    # num = r12^2 + r23^2 + r31^2 - 1, with 1 - a exact for the largest
+    # modulus a >= 1/2: summing the squares first would round small ones away.
+    a, b, c = sorted((r12, r23, r31), reverse=True)
+    num = b * b + c * c - (1.0 - a) * (1.0 + a)
+    den = 2.0 * a * b * c
+    if abs(num) > den * (1.0 + 1e-12):
         return ()
-    # Collapse the boundary cases exactly; otherwise the two branches differ
-    # by O(sqrt(eps)) instead of merging.
-    if cos_gamma >= 1.0 - 1e-12:
-        gammas: tuple[float, ...] = (0.0,)
-    elif cos_gamma <= -1.0 + 1e-12:
-        gammas = (math.pi,)
-    else:
-        gamma = math.acos(cos_gamma)
-        gammas = (gamma, -gamma)
-    phases = []
-    for g in gammas:
-        product = ca * cb + complex(math.cos(g), -math.sin(g)) * sa * sb
-        phases.append(float(np.angle(product) % TWO_PI))
-    if len(phases) == 2 and circular_distance(phases[0], phases[1]) < 1e-12:
-        phases = phases[:1]
-    return tuple(sorted(phases))
+    # Collapse |cos(phi)| = 1 exactly; otherwise the two roots differ by
+    # O(sqrt(eps)) instead of merging.
+    if num >= den * (1.0 - 1e-12):
+        return (0.0,)
+    if num <= -den * (1.0 - 1e-12):
+        return (math.pi,)
+    phi = math.acos(num / den)
+    return (phi, TWO_PI - phi)
 
 
 def circular_distance(a: float, b: float) -> float:

@@ -155,25 +155,25 @@ def mutated_configs(draw, base):
     return config
 
 
-def _exit_code(config) -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        return run(str(path), out_dir=str(Path(tmp) / "out"))
+def _exit_code(config, tmp: Path) -> int:
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return run(str(path), out_dir=str(tmp / "out"))
 
 
 def _misuse_property(base):
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(mutated_configs(base))
     def check(config):
-        assert _exit_code(config) in (0, 2, 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _exit_code(config, Path(tmp)) in (0, 2, 3)
 
     return check
 
 
-def test_bases_run():
+def test_bases_run(tmp_path):
     for base in BASES.values():
-        assert _exit_code(base) == 0
+        assert _exit_code(base, tmp_path) == 0
 
 
 @pytest.mark.parametrize(
@@ -187,8 +187,9 @@ def test_bases_run():
         (dict(BASES["qubit-analysis"], output="a\x00b"), 2),
         # A width so small that 4 sigma^2 underflows to zero.
         (dict(BASES["ideal-scan triad"], preparation={"recipe": "dynamic", "sigma": 1e-308}), 3),
-        # Moduli so small that the qubit geometry's denominator underflows.
-        ({"mode": "qubit-analysis", "qubit": {"r12": 1e-308, "r23": 1e-308, "r31": 1e-308}}, 3),
+        # Moduli so small that their squares and product underflow to 0: no
+        # qubit holds three nearly orthogonal states, and the run says so.
+        ({"mode": "qubit-analysis", "qubit": {"r12": 1e-308, "r23": 1e-308, "r31": 1e-308}}, 0),
         # A range whose width overflows.
         (
             dict(
@@ -212,8 +213,11 @@ def test_bases_run():
         ({"mode": "validate", "validation": {"instances": 10**12, "seed": 1}}, 2),
     ],
 )
-def test_extreme_inputs(config, code):
-    assert _exit_code(config) == code
+def test_extreme_inputs(config, code, tmp_path):
+    assert _exit_code(config, tmp_path) == code
+    if code == 0:
+        report = json.loads((tmp_path / "out" / "run_qubit.json").read_text(encoding="utf-8"))
+        assert report["feasible"] is False
 
 
 test_mutated_ideal_triad_scan = _misuse_property(BASES["ideal-scan triad"])

@@ -95,6 +95,10 @@ class TestPrepare:
             Preparation("dynamic")
         with pytest.raises(DomainError):
             Preparation("nope")
+        # Only the dynamic recipe reads theta; elsewhere it would be ignored.
+        for recipe in ("all_H", "static_pi"):
+            with pytest.raises(DomainError):
+                Preparation(recipe, theta=0.3)
 
 
 class TestDelayCondition:

@@ -172,6 +172,14 @@ class TestQubitTriadPhase:
     def test_infeasible_geometry(self):
         assert qubit_triad_phase(0.9, 0.05, 0.9) == ()
 
+    def test_one_indistinguishable_pair_forces_the_third_modulus(self):
+        # Photons 1 and 2 share a state, so r23 must equal r31, at phase 0.
+        assert qubit_triad_phase(1.0, 0.5, 0.5) == (0.0,)
+        assert qubit_triad_phase(1.0, 0.5, 0.6) == ()
+        # Squares far below the rounding of 1 still decide the verdict.
+        assert qubit_triad_phase(1.0, 1e-9, 2e-9) == ()
+        assert qubit_triad_phase(1e-9, 1.0, 1e-9) == (0.0,)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             qubit_triad_phase(0.0, 0.5, 0.5)
@@ -201,6 +209,56 @@ class TestQubitTriadPhase:
             )
             assert candidates
             assert min(circular_distance(phi, c) for c in candidates) < 1e-9
+
+
+def _triad_grams(r12, r23, r31, phis):
+    """Unit-diagonal Hermitian matrices with these moduli, one per triad phase."""
+    phis = np.asarray(phis, dtype=float)
+    g = np.ones((len(phis), 3, 3), dtype=complex)
+    g[:, 0, 1] = g[:, 1, 0] = r12
+    g[:, 1, 2] = g[:, 2, 1] = r23
+    g[:, 2, 0] = r31 * np.exp(1j * phis)
+    g[:, 0, 2] = r31 * np.exp(-1j * phis)
+    return g
+
+
+def _qubit_moduli(rng):
+    """Overlap moduli of three random qubit states, each at least 1e-3."""
+    while True:
+        v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        g = v @ v.conj().T
+        moduli = abs(g[0, 1]), abs(g[1, 2]), abs(g[2, 0])
+        if min(moduli) >= 1e-3:
+            return moduli
+
+
+class TestQubitTriadPhaseIsSingularGram:
+    """A qubit phase makes the Gram matrix singular; no other phase does."""
+
+    GRID = np.linspace(0.0, 2 * math.pi, 721)
+
+    @pytest.mark.parametrize("draw", ["qubit", "uniform"])
+    def test_determinant_condition(self, draw):
+        rng = np.random.default_rng(19)
+        empty = 0
+        for _ in range(300):
+            if draw == "qubit":
+                moduli = _qubit_moduli(rng)
+            else:
+                moduli = tuple(1.0 - rng.uniform(0.0, 1.0, size=3))  # in (0, 1]
+            phases = qubit_triad_phase(*moduli)
+            if draw == "qubit":
+                assert phases
+            if phases:
+                lowest = np.linalg.eigvalsh(_triad_grams(*moduli, phases))[:, 0]
+                assert np.abs(lowest).max() <= 1e-9
+            else:
+                empty += 1
+                # Each phase leaves the matrix indefinite or of full rank.
+                lowest = np.linalg.eigvalsh(_triad_grams(*moduli, self.GRID))[:, 0]
+                assert np.abs(lowest).min() > 1e-9
+        assert draw == "qubit" or empty > 0
 
 
 class TestDelayInvariance:
