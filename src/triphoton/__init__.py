@@ -9,10 +9,11 @@ one point model, built on each point's Gram matrix, validated once, and take
 every event probability from one permutation-sum engine,
 ``interference._columns_distribution``.  The closed forms, the mixed-state
 trace formulas and the oracle check it; the oracle sees polarisation
-dependence as an explicit 2m-mode network.  ``mixedstate`` and ``oracle`` are
-reference code: the package exports them, but ``modes``, ``interference``,
-``source`` and ``experiment`` never import them, and ``cli`` calls the oracle
-only for ``validate``.
+dependence as an explicit 2m-mode network.  ``mixedstate``, ``oracle`` and
+``source.enumerate_terms`` are reference code, imported from their modules:
+the package loads the two modules but binds none of the names they define.
+``modes``, ``interference``, ``source`` and ``experiment`` never import them,
+and ``cli`` calls the oracle only for ``validate``.
 
 Every probability depends on the Gram matrix only through its moduli and the
 triad phase, so neither the internal states nor the preparations take a
@@ -55,16 +56,6 @@ from .interference import (
     tritter_bunched,
     tritter_p111,
 )
-from .mixedstate import (
-    InternalDensity,
-    TemporalBasis,
-    build_densities,
-    build_density,
-    gram_schmidt_temporal,
-    mixed_event_probability,
-    p111_mixed,
-    permanent,
-)
 from .modes import (
     GaussianTemporalMode,
     GramMatrix,
@@ -76,16 +67,8 @@ from .modes import (
     temporal_overlap,
     triad_phase,
 )
-from .oracle import (
-    FockState,
-    equivalence_report,
-    evolve_and_measure,
-    expand_from_vectors,
-)
-from .source import (
-    EmissionTerm,
-    SourceParams,
-    enumerate_terms,
-    heralded_ensemble,
-    truncation_deficit,
-)
+from .source import SourceParams, heralded_ensemble, truncation_deficit
+
+# Loaded so that ``triphoton.mixedstate`` and ``triphoton.oracle`` resolve; their
+# names are imported from the modules, never from the package.
+from . import mixedstate, oracle

@@ -24,9 +24,9 @@ from .errors import DomainError, NumericalInconsistency
 from .interference import (
     Network,
     _columns_distribution,
+    _occupations,
     balanced_tritter,
     occupation_index,
-    output_occupations,
 )
 from .modes import (
     GaussianTemporalMode,
@@ -78,6 +78,8 @@ class Preparation:
     def __post_init__(self) -> None:
         if self.recipe not in RECIPES:
             raise DomainError(f"unknown recipe {self.recipe!r}")
+        if len(self.delays) != 3:
+            raise DomainError(f"a preparation needs three delays, got {len(self.delays)}")
         if self.recipe == "dynamic" and self.theta is None:
             raise DomainError("the dynamic recipe needs a rotation angle theta")
         if self.recipe != "dynamic" and self.theta is not None:
@@ -206,16 +208,20 @@ def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
     """
     xs = np.asarray(list(x_values), dtype=float)
     net = balanced_tritter()
+    column = {name: row for row, name in enumerate(IDEAL_EVENT_ORDER)}
+    triples = [column["P" + "".join(map(str, occ))] for occ in _occupations(3, 3)]
     pair_index = occupation_index(2, 3)
-    series = {name: np.empty(len(preps)) for name in IDEAL_EVENT_ORDER}
+    marginals = [
+        (pairs, column["P" + "".join(map(str, pairs))], pair_index[pairs])
+        for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    ]
+    values = np.empty((len(IDEAL_EVENT_ORDER), len(preps)))
     for i, prep in enumerate(preps):
         model = _PointModel(prepare(prep), 1.0, net, net)
-        for occ, p in zip(output_occupations(3, 3), model.pair_distribution((1, 1, 1))):
-            series["P" + "".join(map(str, occ))][i] = p
-        for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-            p = model.pair_distribution(pairs)[pair_index[pairs]]
-            series["P" + "".join(map(str, pairs))][i] = p
-    return ScanResult(x_name=x_name, x_values=xs, series=series)
+        values[triples, i] = model.pair_distribution((1, 1, 1))
+        for pairs, row, index in marginals:
+            values[row, i] = model.pair_distribution(pairs)[index]
+    return ScanResult(x_name=x_name, x_values=xs, series=dict(zip(IDEAL_EVENT_ORDER, values)))
 
 
 def scan_delays(recipe: str, tau_values, sigma: float) -> ScanResult:
@@ -293,7 +299,7 @@ def _click_maps(
 ) -> dict[tuple[int, int, int], np.ndarray]:
     """Weighted click-pattern map of every pair configuration, summed over its idler noise.
 
-    Applied to the pair idlers' distribution over ``output_occupations(n, 3)``,
+    Applied to the pair idlers' distribution over ``_occupations(n, 3)``,
     ``maps[pairs]`` gives that configuration's share of the click patterns.  An
     unpolarised noise photon from input i reaches output o with probability
     ``q[o, i] = (|U_H[o, i]|^2 + |U_V[o, i]|^2) / 2`` independently of the rest,
@@ -315,7 +321,7 @@ def _click_maps(
     maps = {}
     for pairs, c in heralded.items():
         factor = np.asarray(c) @ h[: len(c)]
-        occupations = np.array(output_occupations(sum(pairs), 3))
+        occupations = np.array(_occupations(sum(pairs), 3))
         maps[pairs] = a @ (factor[:, None] * np.prod(beta[:, None] ** occupations, axis=2))
     return maps
 
@@ -324,7 +330,7 @@ def _click_maps(
 def _fold_matrix(n: int) -> np.ndarray:
     """0/1 map from occupations of n photons over (output, H) then (output, V) to outputs."""
     target = occupation_index(n, 3)
-    occupations = output_occupations(n, 6)
+    occupations = _occupations(n, 6)
     fold = np.zeros((len(target), len(occupations)))
     for col, occ in enumerate(occupations):
         fold[target[tuple(h + v for h, v in zip(occ[:3], occ[3:]))], col] = 1.0
@@ -433,6 +439,8 @@ def simulate_counts(
     """
     net_h = network if network is not None else balanced_tritter()
     net_v = network_v if network_v is not None else net_h
+    if net_h.m != 3 or net_v.m != 3:
+        raise DomainError("the experiment needs three-mode networks")
 
     heralded = heralded_ensemble(source)
     # C(L+2, 2) idler-noise vectors of the three sources carry L photons.

@@ -153,17 +153,19 @@ def qubit_triad_phase(r12: float, r23: float, r31: float) -> tuple[float, ...]:
     ``det G = 1 - r12^2 - r23^2 - r31^2 + 2 r12 r23 r31 cos(phi) = 0`` fixes
     ``cos(phi)``; the one or two admissible phases are returned, reduced to
     [0, 2*pi).  An empty tuple means no qubit realisation exists (the three
-    states need a third internal dimension).  The tests multiply by
-    ``2 r12 r23 r31`` rather than divide, so an underflow to 0 still answers.
+    states need a third internal dimension).  The tests multiply by the
+    scaled ``2 r12 r23 r31`` rather than divide, so no input raises.
     """
     for name, r in (("r12", r12), ("r23", r23), ("r31", r31)):
         if not 0.0 < r <= 1.0:
             raise DomainError(f"{name} must lie in (0, 1], got {r}")
-    # num = r12^2 + r23^2 + r31^2 - 1, with 1 - a exact for the largest
-    # modulus a >= 1/2: summing the squares first would round small ones away.
+    # num = r12^2 + r23^2 + r31^2 - 1 and den = 2 r12 r23 r31, both divided by
+    # b^2 for the middle modulus b, so no square underflows to 0; 1 - a is
+    # exact for the largest modulus a >= 1/2.
     a, b, c = sorted((r12, r23, r31), reverse=True)
-    num = b * b + c * c - (1.0 - a) * (1.0 + a)
-    den = 2.0 * a * b * c
+    t = c / b
+    num = 1.0 + t * t - (1.0 - a) * (1.0 + a) / b / b
+    den = 2.0 * a * t
     if abs(num) > den * (1.0 + 1e-12):
         return ()
     # Collapse |cos(phi)| = 1 exactly; otherwise the two roots differ by

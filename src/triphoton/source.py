@@ -15,6 +15,7 @@ reference.  The impurity of a heralded photon enters as a common-mode weight,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -48,12 +49,17 @@ class SourceParams:
         for name in ("p_noise_idler", "p_noise_signal"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise DomainError(f"{name} must lie in [0, 1)")
+        for name in ("truncation_total_photons", "truncation_noise_photons"):
+            budget = getattr(self, name)
+            if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {budget!r}")
         if self.truncation_total_photons < 2:
             raise DomainError("total-photon truncation must be at least 2")
         if self.truncation_noise_photons < 0:
             raise DomainError("noise-photon truncation must be nonnegative")
         if not 0.0 < self.herald_efficiency <= 1.0:
             raise DomainError("herald efficiency must lie in (0, 1]")
+        _mixing_weight(self.purity)
 
 
 def _mixing_weight(purity: float) -> float:

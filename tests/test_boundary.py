@@ -5,7 +5,8 @@ and ``oracle`` (the Fock-space simulator) check the production modules; a
 production module that imported them would no longer be checked by an
 independent path.  The oracle in turn takes only the network type and the
 engine's entry point from ``interference``, so it shares no sum or
-occupation table with the engine it checks.
+occupation table with the engine it checks.  The package namespace binds no
+reference name either: reference code is imported from its module.
 """
 
 import ast
@@ -32,6 +33,17 @@ def imported_names(path: Path) -> set[str]:
     return names
 
 
+def defined_names(path: Path) -> set[str]:
+    """Names the top-level functions, classes and assignments of ``path`` define."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
 @pytest.mark.parametrize("module", ["interference", "experiment", "modes", "source"])
 def test_production_module_imports_no_reference_code(module):
     names = imported_names(PACKAGE / f"{module}.py")
@@ -43,3 +55,10 @@ def test_oracle_takes_only_network_and_entry_point_from_interference():
     names = imported_names(PACKAGE / "oracle.py")
     taken = {n for n in names if "interference" in n.split(".")}
     assert taken == {"interference", "interference.Network", "interference.event_distribution"}
+
+
+def test_package_namespace_binds_no_reference_name():
+    reference = set().union(*(defined_names(PACKAGE / f"{m}.py") for m in REFERENCE))
+    reference |= {"enumerate_terms", "EmissionTerm"}
+    bound = sorted(reference & set(vars(triphoton)))
+    assert not bound, f"the package namespace binds reference names: {bound}"

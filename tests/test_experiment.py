@@ -99,6 +99,10 @@ class TestPrepare:
         for recipe in ("all_H", "static_pi"):
             with pytest.raises(DomainError):
                 Preparation(recipe, theta=0.3)
+        # One delay per photon: extra delays would be dropped, missing ones fail late.
+        for delays in ((0.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
+            with pytest.raises(DomainError, match="three delays"):
+                Preparation("all_H", delays=delays)
 
 
 class TestDelayCondition:
@@ -300,6 +304,13 @@ class TestSimulateCounts:
             simulate_counts(preps, IDEAL_SOURCE, x_values=[0.0, 1.0])
         with pytest.raises(DomainError, match="one value per x value"):
             ScanResult("tau", np.zeros(2), {"P111": np.zeros(2), "P011": np.zeros(3)})
+
+    def test_networks_other_than_three_modes_rejected(self):
+        preps = delay_scan_preparations("all_H", [0.0], 1.0)
+        four = Network(np.eye(4))
+        for nets in ((four, None), (None, four), (balanced_tritter(), four)):
+            with pytest.raises(DomainError, match="three-mode networks"):
+                simulate_counts(preps, IDEAL_SOURCE, DetectionCascade(), *nets)
 
     @pytest.mark.parametrize(
         "cascade", [DetectionCascade(BEAMSPLITTERS_1_3), DetectionCascade(TRITTER_1)]

@@ -179,6 +179,9 @@ class TestQubitTriadPhase:
         # Squares far below the rounding of 1 still decide the verdict.
         assert qubit_triad_phase(1.0, 1e-9, 2e-9) == ()
         assert qubit_triad_phase(1e-9, 1.0, 1e-9) == (0.0,)
+        # Moduli whose squares underflow to 0 still decide it.
+        assert qubit_triad_phase(1.0, 1e-200, 1e-190) == ()
+        assert qubit_triad_phase(1.0, 1e-200, 1e-200) == (0.0,)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +130,17 @@ class TestEnumerateTerms:
             SourceParams(p_noise_idler=-0.1)
         with pytest.raises(DomainError):
             SourceParams(truncation_total_photons=1)
+        # The mixedness model's purity range holds at construction.
+        for purity in (2.0, 0.4, math.nan):
+            with pytest.raises(DomainError, match="purities"):
+                SourceParams(purity=purity)
+        # Budgets are integers; numpy integers pass, floats and bools do not.
+        for budget in (4.5, 8.0, True):
+            with pytest.raises(DomainError, match="must be an integer"):
+                SourceParams(truncation_total_photons=budget)
+            with pytest.raises(DomainError, match="must be an integer"):
+                SourceParams(truncation_noise_photons=budget)
+        assert SourceParams(truncation_total_photons=np.int64(6)).truncation_total_photons == 6
 
 
 class TestHeraldedEnsemble:
