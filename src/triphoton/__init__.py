@@ -4,16 +4,18 @@ Exact event probabilities for a few photons in small linear-optical networks,
 parameterised by the Gram matrix of the photons' internal states; includes
 the collective three-photon phase, a mixed-state extension, a noisy
 heralded-source model with threshold-detector cascades, and an independent
-brute-force Fock-space oracle.  Ideal scans and the noisy simulation share
-one point model, built on each point's Gram matrix, validated once, and take
-every event probability from one permutation-sum engine,
-``interference._columns_distribution``.  The closed forms, the mixed-state
-trace formulas and the oracle check it; the oracle sees polarisation
-dependence as an explicit 2m-mode network.  ``mixedstate``, ``oracle`` and
-``source.enumerate_terms`` are reference code, imported from their modules:
-the package loads the two modules but binds none of the names they define.
-``modes``, ``interference``, ``source`` and ``experiment`` never import them,
-and ``cli`` calls the oracle only for ``validate``.
+brute-force Fock-space oracle.  Ideal scans and the noisy simulation build
+each point's Gram matrix and validate it once, and take every event
+probability from one permutation-sum engine,
+``interference._columns_distribution``: the noisy simulation point by point
+through its point model, an ideal scan for all its points at once, with the
+Gram matrices stacked on the engine's leading point axis.  The closed forms,
+the mixed-state trace formulas and the oracle check it; the oracle sees
+polarisation dependence as an explicit 2m-mode network.  ``mixedstate``,
+``oracle`` and ``source.enumerate_terms`` are reference code, imported from
+their modules: the package loads the two modules but binds none of the names
+they define.  ``modes``, ``interference``, ``source`` and ``experiment`` never
+import them, and ``cli`` calls the oracle only for ``validate``.
 
 Every probability depends on the Gram matrix only through its moduli and the
 triad phase, so neither the internal states nor the preparations take a

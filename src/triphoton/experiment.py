@@ -202,25 +202,28 @@ class ScanResult:
 def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
     """Balanced-tritter events of pure photons, one per input, at every preparation.
 
-    The point model of :func:`simulate_counts` with common-mode weight 1: the
-    three-photon events are its (1, 1, 1) configuration, and each two-photon
-    marginal is the configuration of its input pair, detected at those outputs.
+    What the point model of :func:`simulate_counts` gives with common-mode
+    weight 1: the three-photon events are its (1, 1, 1) configuration, and
+    each two-photon marginal is the configuration of its input pair,
+    detected at those outputs.  Each point's Gram matrix is built and
+    validated by :func:`~triphoton.modes.gram_matrix` on its own; the
+    engine then takes the whole stack along its point axis, in one call for
+    the three-photon events and one per pair on the pair's 2x2 sub-Grams.
     """
     xs = np.asarray(list(x_values), dtype=float)
     net = balanced_tritter()
     column = {name: row for row, name in enumerate(IDEAL_EVENT_ORDER)}
     triples = [column["P" + "".join(map(str, occ))] for occ in _occupations(3, 3)]
     pair_index = occupation_index(2, 3)
-    marginals = [
-        (pairs, column["P" + "".join(map(str, pairs))], pair_index[pairs])
-        for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-    ]
+    # A (P, 3, 3) stack, also when the scan is empty.
+    grams = np.array([gram_matrix(prepare(p)).entries for p in preps], complex).reshape(-1, 3, 3)
     values = np.empty((len(IDEAL_EVENT_ORDER), len(preps)))
-    for i, prep in enumerate(preps):
-        model = _PointModel(prepare(prep), 1.0, net, net)
-        values[triples, i] = model.pair_distribution((1, 1, 1))
-        for pairs, row, index in marginals:
-            values[row, i] = model.pair_distribution(pairs)[index]
+    values[triples] = _columns_distribution(net.matrix, grams, (0, 1, 2)).T
+    for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        modes = tuple(i for i in range(3) if pairs[i])
+        sub = grams[:, modes][:, :, modes]
+        row = column["P" + "".join(map(str, pairs))]
+        values[row] = _columns_distribution(net.matrix[:, modes], sub, modes)[:, pair_index[pairs]]
     return ScanResult(x_name=x_name, x_values=xs, series=dict(zip(IDEAL_EVENT_ORDER, values)))
 
 

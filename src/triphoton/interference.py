@@ -7,7 +7,8 @@ One engine, :func:`_columns_distribution`, evaluates the double permutation sum
 
 for every output occupation s at once, where M repeats row j of the photon
 columns (one column per photon) exactly s_j times and S is the Gram matrix
-of internal states.  Photons sharing an input mode and
+of internal states; given a stack of Gram matrices, it does so for every
+point of the stack at once.  Photons sharing an input mode and
 internal state divide the sum by the input-occupation factorials as well.
 The engine trusts the Gram entries it is given; its callers validate them.
 :func:`event_distribution` and :func:`event_probability` are its front ends
@@ -99,6 +100,8 @@ def output_occupations(n: int, m: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _occupations(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """The one source of the occupation order: lexicographic, as the first count ascends."""
+    if not (n >= 0 and m >= 1):
+        raise DomainError(f"occupations need n >= 0 photons and m >= 1 modes, got n={n}, m={m}")
     if m == 1:
         return ((n,),)
     return tuple((k,) + rest for k in range(n + 1) for rest in _occupations(n - k, m - 1))
@@ -119,11 +122,16 @@ def _check_inputs(input_modes, m: int) -> tuple[int, ...]:
 def _finalize_probabilities(raw: np.ndarray) -> np.ndarray:
     """Real parts of ``raw``, checked for imaginary residues and out-of-band values.
 
-    Both checks compare as ``not err <= tol``, so a NaN fails them.
+    ``raw`` may have any shape: one bad entry anywhere fails the whole array,
+    and an empty array passes.  Both checks compare as ``not err <= tol``, so
+    a NaN fails them.
     """
-    worst = np.abs(raw.imag).argmax()
-    if not abs(raw.imag[worst]) < 1e-8:
-        raise NumericalInconsistency(f"imaginary residue {raw.imag[worst]:.3e} in a probability")
+    if raw.size == 0:
+        return raw.real
+    imag = raw.imag.ravel()
+    worst = np.abs(imag).argmax()
+    if not abs(imag[worst]) < 1e-8:
+        raise NumericalInconsistency(f"imaginary residue {imag[worst]:.3e} in a probability")
     p = raw.real
     if not (p.min() >= -1e-10 and p.max() <= 1.0 + 1e-10):
         bad = p[~((p >= -1e-10) & (p <= 1.0 + 1e-10))][0]
@@ -187,27 +195,32 @@ def _columns_distribution(
 
     Returned in :func:`output_occupations` order over ``columns.shape[0]``
     outputs.  ``s`` holds the entries of a Gram matrix the caller has
-    validated; it is not checked again.  ``input_modes[i]`` is photon i's
-    input mode.  Photons sharing a mode must share one internal state, so the
-    input norm is prod_j r_j! over the mode occupations r_j.  The S-product
-    table is built once for all occupations.
+    validated; it is not checked again.  ``s`` may carry a leading point
+    axis: a ``(P, n, n)`` stack of Gram matrices, all for the same columns,
+    gives a ``(P, occupations)`` array, row p that of ``s[p]`` alone, and
+    one bad probability at any point fails the whole stack.
+    ``input_modes[i]`` is photon i's input mode.  Photons sharing a mode
+    must share one internal state, so the input norm is prod_j r_j! over
+    the mode occupations r_j.  The S-product table is built once for all
+    occupations.
     """
     cols = np.asarray(columns, dtype=complex)
     n = cols.shape[1]
     if n > DEFAULT_MAX_PHOTONS:
         raise SizeLimit(f"{n} photons exceeds the exact-evaluation cap of {DEFAULT_MAX_PHOTONS}")
-    if s.shape != (n, n) or len(input_modes) != n:
+    if s.ndim not in (2, 3) or s.shape[-2:] != (n, n) or len(input_modes) != n:
         raise DomainError("Gram matrix and input modes must match the photon number")
     perms, rows, factors = _sum_tables(n, cols.shape[0])
-    # sprod[a, b] = prod_k S[perm_a(k), perm_b(k)] and
+    # sprod[..., a, b] = prod_k S[..., perm_a(k), perm_b(k)] and
     # amps[o, a] = prod_k columns[rows[o, k], perm_a(k)], one factor per photon k.
-    sprod = s.take(perms[0], 0).take(perms[0], 1)
+    sprod = s.take(perms[0], -2).take(perms[0], -1)
     amps = cols.take(rows[0], 0).take(perms[0], 1)
     for k in range(1, n):
-        sprod *= s.take(perms[k], 0).take(perms[k], 1)
+        sprod *= s.take(perms[k], -2).take(perms[k], -1)
         amps *= cols.take(rows[k], 0).take(perms[k], 1)
-    # One matrix product: einsum's unoptimised triple loop is 35x slower at 6 photons.
-    raw = ((amps @ sprod) * amps.conj()).sum(axis=1)
+    # One (stacked) matrix product: einsum's unoptimised triple loop is 35x
+    # slower at 6 photons.
+    raw = ((amps @ sprod) * amps.conj()).sum(axis=-1)
     input_factor = math.prod(math.factorial(input_modes.count(j)) for j in set(input_modes))
     return _finalize_probabilities(raw / (factors * input_factor))
 

@@ -183,6 +183,38 @@ class TestIdealScans:
         with pytest.raises(DomainError):
             scan_delays("dynamic", [0.0], 1.0)
 
+    @pytest.mark.parametrize("recipe", ["all_H", "static_pi", "dynamic"])
+    def test_is_the_point_model_with_pure_photons(self, recipe):
+        # The scan hands the engine every point's Gram at once; the point
+        # model of simulate_counts, one point at a time, is its reference.
+        rng = np.random.default_rng(61)
+        sigma = rng.uniform(0.5, 2.0)
+        if recipe == "dynamic":
+            values = rng.uniform(0.0, 2 * math.pi, 9)
+            res = scan_triad(values, sigma)
+            preps, _ = scan_preparations("triad", recipe, values, sigma)
+        else:
+            values = rng.uniform(-8.0, 8.0, 9) * sigma
+            res = scan_delays(recipe, values, sigma)
+            preps, _ = scan_preparations("delay", recipe, values, sigma)
+        net = balanced_tritter()
+        name = lambda occ: "P" + "".join(map(str, occ))
+        pair_index = occupation_index(2, 3)
+        for i, prep in enumerate(preps):
+            model = _PointModel(prepare(prep), 1.0, net, net)
+            three = model.pair_distribution((1, 1, 1))
+            expected = dict(zip(map(name, output_occupations(3, 3)), three))
+            for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+                expected[name(pairs)] = model.pair_distribution(pairs)[pair_index[pairs]]
+            assert sorted(expected) == sorted(res.series)
+            for key, p in expected.items():
+                np.testing.assert_allclose(res.series[key][i], p, rtol=0, atol=1e-15)
+
+    def test_empty_scan(self):
+        res = scan_delays("all_H", [], 1.0)
+        assert res.x_values.shape == (0,)
+        assert all(values.shape == (0,) for values in res.series.values())
+
 
 class TestScanPreparations:
     def test_delay_grid(self):

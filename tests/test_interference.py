@@ -218,6 +218,13 @@ class TestEventProbability:
             index.clear()
             assert len(occupation_index(n, m)) == len(output_occupations(n, m))
 
+    @pytest.mark.parametrize("n, m", [(2, 0), (-1, 3), (0, 0), (1, -2)])
+    def test_occupations_need_photons_and_modes(self, n, m):
+        with pytest.raises(DomainError):
+            output_occupations(n, m)
+        with pytest.raises(DomainError):
+            occupation_index(n, m)
+
     def test_normalisation_over_occupations(self):
         rng = np.random.default_rng(13)
         from triphoton.oracle import random_unitary
@@ -316,6 +323,46 @@ class TestEventProbability:
                 assert event_probability(net, TRITTER_SPEC(occ), g) == pytest.approx(
                     expected, abs=1e-12
                 )
+
+
+class TestPointAxis:
+    """A (P, n, n) stack of Gram matrices on the engine: one row per point."""
+
+    def test_stack_matches_single_calls(self):
+        from triphoton.oracle import random_unitary
+
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 3, 4):
+            net = random_unitary(rng, 4)
+            modes = tuple(range(n))
+            columns = net.matrix[:, modes]
+            for points in (1, 7):
+                grams = np.stack([random_gram(rng, n).entries for _ in range(points)])
+                stacked = _columns_distribution(columns, grams, modes)
+                assert stacked.shape == (points, len(output_occupations(n, 4)))
+                for g, row in zip(grams, stacked):
+                    single = _columns_distribution(columns, g, modes)
+                    np.testing.assert_allclose(row, single, rtol=0, atol=1e-15)
+
+    def test_empty_stack(self):
+        dist = _columns_distribution(balanced_tritter().matrix, np.empty((0, 3, 3)), (0, 1, 2))
+        assert dist.shape == (0, len(output_occupations(3, 3)))
+
+    @pytest.mark.parametrize(
+        "s01, s10", [(0.5, 0.5j), (2.0, 2.0)], ids=["imaginary-residue", "out-of-band"]
+    )
+    def test_one_bad_point_fails_the_stack(self, s01, s10):
+        grams = np.stack([np.eye(2, dtype=complex)] * 4)
+        grams[2, 0, 1], grams[2, 1, 0] = s01, s10
+        columns = balanced_beamsplitter().matrix
+        _columns_distribution(columns, np.delete(grams, 2, axis=0), (0, 1))
+        with pytest.raises(NumericalInconsistency):
+            _columns_distribution(columns, grams, (0, 1))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 1, 3, 3), (3,)])
+    def test_gram_shape_must_match(self, shape):
+        with pytest.raises(DomainError):
+            _columns_distribution(balanced_tritter().matrix, np.ones(shape), (0, 1, 2))
 
 
 class TestClosedForms:
