@@ -346,37 +346,31 @@ class _PointModel:
 
     ``p_common`` is the common-mode weight of the source's mixedness model
     (:func:`triphoton.source._mixing_weight`); 1 means pure photons.  The
-    network is polarisation dependent when ``net_h`` and ``net_v`` differ.
+    network is polarisation dependent when any entry of ``net_h.matrix`` and
+    ``net_v.matrix`` differs.  ``columns[:, j]`` holds the output amplitudes
+    of an idler of source j: the H network's column, or under a
+    polarisation-dependent network its rows over (output, H) then
+    (output, V), weighted by the source's polarisation amplitudes, so
+    polarisation moves from the internal state to the mode.
     """
 
     def __init__(
         self, states: list[InternalState], p_common: float, net_h: Network, net_v: Network
     ):
-        self.states = states
-        self.net_h = net_h
-        self.net_v = net_v
-        self.pol_dependent = net_h is not net_v and not np.allclose(
-            net_h.matrix, net_v.matrix, atol=1e-14
-        )
+        self.pol_dependent = not np.array_equal(net_h.matrix, net_v.matrix)
         self.p_common = p_common
-        # The one validated Gram matrix of the point: the sources' pure internal
-        # states, or only their temporal modes when a polarisation-dependent
-        # network carries polarisation in the mode instead (see _column).
         if self.pol_dependent:
+            pol = np.array(
+                [(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in states],
+                dtype=complex,
+            )
+            self.columns = np.vstack([net_h.matrix * pol[:, 0], net_v.matrix * pol[:, 1]])
             states = [InternalState(s.temporal) for s in states]
+        else:
+            self.columns = net_h.matrix
+        # The one validated Gram matrix of the point: the sources' pure internal
+        # states, or only their temporal modes when the columns carry polarisation.
         self.overlaps = gram_matrix(states).entries
-
-    def _column(self, source: int) -> np.ndarray:
-        """Output amplitudes of one idler of ``source``.
-
-        A polarisation-dependent network doubles the outputs to (output, H)
-        then (output, V): polarisation moves from the internal state to the mode.
-        """
-        u_h, u_v = self.net_h.matrix[:, source], self.net_v.matrix[:, source]
-        if not self.pol_dependent:
-            return u_h
-        pol = self.states[source].polarization
-        return np.concatenate([pol.amplitude_h * u_h, pol.amplitude_v * u_v])
 
     def pair_distribution(self, pairs: tuple[int, int, int]) -> np.ndarray:
         """Output distribution of the pair idlers over output_occupations(sum(pairs), 3).
@@ -391,7 +385,7 @@ class _PointModel:
             return np.ones(1)
         participating = [i for i in range(3) if pairs[i] > 0]
         modes = tuple(i for i in participating for _ in range(pairs[i]))
-        columns = np.stack([self._column(i) for i in modes], axis=1)
+        columns = self.columns[:, list(modes)]
         overlaps = self.overlaps[np.ix_(modes, modes)]
         p = self.p_common
         branches = [[(1.0, 0)] if p >= 1.0 else [(p, 0), (1.0 - p, 1 + i)] for i in participating]

@@ -14,7 +14,7 @@ from triphoton import experiment
 from triphoton.cli import CONFIG_SCHEMA, MODE_BLOCKS, _resolved, load_config, main, run
 from triphoton.errors import ConfigError
 from triphoton.experiment import DetectionCascade
-from triphoton.interference import DEFAULT_MAX_PHOTONS
+from triphoton.interference import DEFAULT_MAX_PHOTONS, balanced_tritter
 from triphoton.source import SourceParams, heralded_ensemble
 
 
@@ -65,6 +65,11 @@ VALID_BLOCKS = {
 }
 
 NON_UNITARY = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [2, 0]]]
+# The balanced tritter off unitarity by 4.8e-11: its click patterns would
+# miss 1 by about 1.2e-10, beyond the run's 1e-12 check.
+NEAR_UNITARY = [
+    [[z.real, z.imag] for z in row] for row in balanced_tritter().matrix * (1 + 2.4e-11)
+]
 
 
 class TestConfigValidation:
@@ -214,6 +219,7 @@ class TestConfigValidation:
             ),
             ({"mode": "experiment", "tritter": {"h": NON_UNITARY}}, "$.tritter.h"),
             ({"mode": "experiment", "tritter": {"v": NON_UNITARY}}, "$.tritter.v"),
+            ({"mode": "experiment", "tritter": {"h": NEAR_UNITARY}}, "$.tritter.h"),
         ],
     )
     def test_ignored_or_unrunnable_input_rejected(self, tmp_path, capsys, cfg, location):

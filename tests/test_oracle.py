@@ -312,17 +312,28 @@ class TestPairDistribution:
     """Every 2-4 idler source term of the noisy model against the oracle."""
 
     @pytest.mark.parametrize("purity", [0.9, 1.0])
-    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("split", [False, True, 1e-6, 1e-9])
     def test_matches_oracle(self, purity, split):
+        # split: False runs V = H, True a random V, and a number eps the H
+        # network with its input phases turned by eps * (0, 1, -1).
         rng = np.random.default_rng(31)
         net_h = balanced_tritter()
-        net_v = random_unitary(rng, 3) if split else net_h
+        if split is True:
+            net_v = random_unitary(rng, 3)
+        elif split:
+            net_v = Network(net_h.matrix * np.exp(1j * split * np.array([0, 1, -1])))
+        else:
+            net_v = net_h
         states = prepare(triad_scan_preparations([theta_for_phase(2.0)], 1.0)[0])
         model = _PointModel(states, _mixing_weight(purity), net_h, net_v)
+        # An equal but distinct V network takes the plain path.
+        twin = _PointModel(states, _mixing_weight(purity), net_h, Network(net_h.matrix.copy()))
         for pairs in product(range(5), repeat=3):
             if not 2 <= sum(pairs) <= 4:
                 continue
             dist = model.pair_distribution(pairs)
+            if split is False:
+                assert np.array_equal(twin.pair_distribution(pairs), dist)
             reference = oracle_pair_distribution(states, purity, pairs, net_h, net_v)
             occupations = output_occupations(sum(pairs), 3)
             assert set(reference) <= set(occupations)
