@@ -4,13 +4,14 @@ Exact event probabilities for a few photons in small linear-optical networks,
 parameterised by the Gram matrix of the photons' internal states; includes
 the collective three-photon phase, a mixed-state extension, a noisy
 heralded-source model with threshold-detector cascades, and an independent
-brute-force Fock-space oracle.  Ideal scans and the noisy simulation build
-each point's Gram matrix and validate it once, and take every event
-probability from one permutation-sum engine,
-``interference._columns_distribution``: the noisy simulation point by point
-through its point model, an ideal scan for all its points at once, with the
-Gram matrices stacked on the engine's leading point axis.  The closed forms,
-the mixed-state trace formulas and the oracle check it; the oracle sees
+brute-force Fock-space oracle.  One builder, ``modes.gram_stack``, makes and
+validates the Gram matrices, and one permutation-sum engine,
+``interference._columns_distribution``, gives every event probability: an
+ideal scan builds the ``(P, 3, 3)`` stack of all its points from arrays,
+validates it once and hands it to the engine along its leading point axis;
+the noisy simulation goes point by point through its point model, with
+``modes.gram_matrix``, the builder's one-point case.  The closed forms,
+the mixed-state trace formulas and the oracle check the engine; the oracle sees
 polarisation dependence as an explicit 2m-mode network.  ``mixedstate``,
 ``oracle`` and ``source.enumerate_terms`` are reference code, imported from
 their modules: the package loads the two modules but binds none of the names
@@ -64,6 +65,7 @@ from .modes import (
     InternalState,
     PolarizationState,
     gram_matrix,
+    gram_stack,
     overlap,
     qubit_triad_phase,
     temporal_overlap,

@@ -267,23 +267,24 @@ def _parse_matrix(rows) -> Network:
     return Network(m)
 
 
-def _format_number(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_series(result: ScanResult, path: Path, fmt: str) -> None:
+    """Write the x values and every series: CSV rows of 17 significant digits, or JSON lists.
+
+    Every value goes through one ``(points, 1 + series)`` float table, made
+    Python floats at once by ``tolist``; a CSV row is one format call.
+    """
     names = list(result.series)
+    table = np.column_stack([result.x_values] + [result.series[name] for name in names])
     if fmt == "csv":
+        row = ",".join(["{:.17g}"] * table.shape[1])
         lines = [",".join([result.x_name] + names)]
-        for i, x in enumerate(result.x_values):
-            row = [_format_number(float(x))]
-            row += [_format_number(float(result.series[name][i])) for name in names]
-            lines.append(",".join(row))
+        lines += [row.format(*values) for values in table.tolist()]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
+        columns = table.T.tolist()
         payload = {
-            "x": {"name": result.x_name, "values": [float(v) for v in result.x_values]},
-            "series": {name: [float(v) for v in result.series[name]] for name in names},
+            "x": {"name": result.x_name, "values": columns[0]},
+            "series": dict(zip(names, columns[1:])),
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -33,6 +33,7 @@ from .modes import (
     InternalState,
     PolarizationState,
     gram_matrix,
+    gram_stack,
 )
 from .source import (
     SourceParams,
@@ -86,6 +87,20 @@ class Preparation:
             raise DomainError(f"the {self.recipe} recipe reads no rotation angle theta")
 
 
+def _polarizations(prep: Preparation) -> list[tuple[complex, complex]]:
+    """The (H, V) amplitudes of the three photons of ``prep``'s recipe (see :func:`prepare`)."""
+    if prep.recipe == "all_H":
+        return [(1.0, 0.0)] * 3
+    if prep.recipe == "static_pi":
+        return [(1.0, 0.0), (0.5, 0.5 * SQRT3), (0.5, -0.5 * SQRT3)]
+    two_theta = 2.0 * float(prep.theta)
+    return [
+        (math.cos(two_theta), 1j * math.sin(two_theta)),
+        (0.5 * SQRT3, 0.5),
+        (0.5 * SQRT3, -0.5),
+    ]
+
+
 def prepare(prep: Preparation) -> list[InternalState]:
     """The three input internal states for a preparation.
 
@@ -96,24 +111,9 @@ def prepare(prep: Preparation) -> list[InternalState]:
     at (sqrt(3)|H> +- |V>)/2; the collective phase follows
     2*Arg(sqrt(3) cos 2theta + i sin 2theta).
     """
-    if prep.recipe == "all_H":
-        pols = [PolarizationState.horizontal()] * 3
-    elif prep.recipe == "static_pi":
-        pols = [
-            PolarizationState.horizontal(),
-            PolarizationState(0.5, 0.5 * SQRT3),
-            PolarizationState(0.5, -0.5 * SQRT3),
-        ]
-    else:
-        two_theta = 2.0 * float(prep.theta)
-        pols = [
-            PolarizationState(math.cos(two_theta), 1j * math.sin(two_theta)),
-            PolarizationState(0.5 * SQRT3, 0.5),
-            PolarizationState(0.5 * SQRT3, -0.5),
-        ]
     return [
-        InternalState(temporal=GaussianTemporalMode(t, prep.sigma), polarization=pol)
-        for t, pol in zip(prep.delays, pols)
+        InternalState(GaussianTemporalMode(t, prep.sigma), PolarizationState(h, v))
+        for t, (h, v) in zip(prep.delays, _polarizations(prep))
     ]
 
 
@@ -199,24 +199,34 @@ class ScanResult:
             raise DomainError(f"every series needs one value per x value ({len(self.x_values)})")
 
 
+def _scan_grams(preps: list[Preparation]) -> np.ndarray:
+    """The validated ``(P, 3, 3)`` Gram stack of the preparations, built without internal states."""
+    # (P, 3) and (P, 3, 2) arrays, also when there is no preparation.
+    return gram_stack(
+        np.array([p.delays for p in preps], dtype=float).reshape(-1, 3),
+        np.array([(p.sigma,) * 3 for p in preps], dtype=float).reshape(-1, 3),
+        np.array([_polarizations(p) for p in preps], dtype=complex).reshape(-1, 3, 2),
+    )
+
+
 def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
     """Balanced-tritter events of pure photons, one per input, at every preparation.
 
     What the point model of :func:`simulate_counts` gives with common-mode
     weight 1: the three-photon events are its (1, 1, 1) configuration, and
     each two-photon marginal is the configuration of its input pair,
-    detected at those outputs.  Each point's Gram matrix is built and
-    validated by :func:`~triphoton.modes.gram_matrix` on its own; the
-    engine then takes the whole stack along its point axis, in one call for
-    the three-photon events and one per pair on the pair's 2x2 sub-Grams.
+    detected at those outputs.  The preparations' delays, widths and
+    polarisation amplitudes go to :func:`~triphoton.modes.gram_stack` as
+    arrays, which builds every point's Gram matrix and validates the stack
+    once; the engine then takes the stack along its point axis, in one call
+    for the three-photon events and one per pair on the pair's 2x2 sub-Grams.
     """
     xs = np.asarray(list(x_values), dtype=float)
     net = balanced_tritter()
     column = {name: row for row, name in enumerate(IDEAL_EVENT_ORDER)}
     triples = [column["P" + "".join(map(str, occ))] for occ in _occupations(3, 3)]
     pair_index = occupation_index(2, 3)
-    # A (P, 3, 3) stack, also when the scan is empty.
-    grams = np.array([gram_matrix(prepare(p)).entries for p in preps], complex).reshape(-1, 3, 3)
+    grams = _scan_grams(preps)
     values = np.empty((len(IDEAL_EVENT_ORDER), len(preps)))
     values[triples] = _columns_distribution(net.matrix, grams, (0, 1, 2)).T
     for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):

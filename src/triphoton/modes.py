@@ -3,8 +3,9 @@
 A photon's internal state factorises into a temporal mode (a delayed Gaussian
 wavepacket) and a polarisation qubit, the two degrees of freedom that set
 every distinguishability in the experiment.  Pairwise overlaps are exact
-products of the two factors' overlaps; from them we build Gram matrices and
-the collective phase of a photon triple.  Every check compares as
+products of the two factors' overlaps; from them we build Gram matrices, one
+point or a ``(P, n, n)`` stack of points validated at once (:func:`gram_stack`),
+and the collective phase of a photon triple.  Every check compares as
 ``not err <= tol``, so a NaN fails it.
 
 Scalar products are paired as ``sum_k a_k * conj(b_k)`` (first argument
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -95,6 +97,20 @@ def overlap(a: InternalState, b: InternalState) -> complex:
     return complex(value)
 
 
+def _check_gram(m: np.ndarray) -> None:
+    """Raise ``DomainError`` unless each matrix of the ``(..., n, n)`` stack ``m`` is a Gram matrix.
+
+    That is Hermitian and positive semi-definite with unit diagonal; one bad
+    matrix fails the stack, and an empty stack passes.
+    """
+    if not np.abs(m - np.swapaxes(m, -1, -2).conj()).max(initial=0.0) <= 1e-12:
+        raise DomainError("Gram matrix must be Hermitian within 1e-12")
+    if not np.abs(np.diagonal(m, axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= 1e-12:
+        raise DomainError("Gram matrix diagonal must equal 1 within 1e-12")
+    if not np.linalg.eigvalsh(m).min(initial=0.0) >= -1e-9:
+        raise DomainError("Gram matrix must be positive semi-definite (eigenvalues >= -1e-9)")
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Hermitian positive semi-definite matrix of pairwise overlaps, unit diagonal."""
@@ -105,30 +121,92 @@ class GramMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DomainError("Gram matrix must be square and nonempty")
-        if not np.abs(m - m.conj().T).max() <= 1e-12:
-            raise DomainError("Gram matrix must be Hermitian within 1e-12")
-        if not np.abs(m.diagonal() - 1.0).max() <= 1e-12:
-            raise DomainError("Gram matrix diagonal must equal 1 within 1e-12")
-        if not np.linalg.eigvalsh(m).min() >= -1e-9:
-            raise DomainError("Gram matrix must be positive semi-definite (eigenvalues >= -1e-9)")
+        _check_gram(m)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
 
+def _overlap_stack(delays, sigmas, polarizations) -> np.ndarray:
+    """Unchecked ``(P, n, n)`` overlaps of P points of n photons each.
+
+    ``delays`` and ``sigmas`` are ``(P, n)``, ``polarizations`` holds the
+    ``(H, V)`` amplitudes as ``(P, n, 2)``.  Each entry above the diagonal
+    takes the operations of :func:`overlap` in the same order, so it equals
+    that function's value to the last bit: the exponent in numpy, its
+    exponential through ``math.exp`` (``np.exp`` rounds differently in the
+    last bit for a few per cent of inputs) and the polarisation factor
+    elementwise, each complex product spelled out in real arithmetic.
+    """
+    delays = np.asarray(delays, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
+    pol = np.asarray(polarizations, dtype=complex)
+    if delays.ndim != 2 or delays.shape[1] < 1 or sigmas.shape != delays.shape:
+        raise DomainError("need (P, n) delays and sigmas with n >= 1")
+    if pol.shape != delays.shape + (2,):
+        raise DomainError(f"need {delays.shape + (2,)} polarisation amplitudes, got {pol.shape}")
+    p, n = delays.shape
+    if not (sigmas > 0.0).all():
+        raise DomainError(f"sigma must be positive, got {sigmas[~(sigmas > 0.0)][0]}")
+    norm = np.abs(pol[..., 0]) ** 2 + np.abs(pol[..., 1]) ** 2
+    if not np.abs(norm - 1.0).max(initial=0.0) <= 1e-12:
+        raise DomainError(
+            f"polarisation norm^2 deviates from 1 by {np.abs(norm - 1.0).max():.3e}"
+        )
+    unequal = sigmas != sigmas[:, :1]
+    if unequal.any():
+        point, photon = np.argwhere(unequal)[0]
+        raise UnsupportedModePair(
+            f"Gaussian modes must share sigma (got {sigmas[point, 0]}/{sigmas[point, photon]})"
+        )
+    # Each pair j < k once; np.triu_indices would take about a third of a one-point call.
+    j, k = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
+    # A delay difference or its square may overflow to inf, whose exponential
+    # is exactly 0 (as in Python floats); 0/0, inf/inf and x/0 still raise,
+    # since a width whose square underflows to 0 or overflows has no overlap.
+    with np.errstate(over="ignore", invalid="raise", divide="raise"):
+        dt = delays[:, j] - delays[:, k]
+        exponent = -(dt * dt) / (4.0 * sigmas[:, j] * sigmas[:, j])
+    temporal = np.array([math.exp(x) for x in exponent.ravel().tolist()]).reshape(dt.shape)
+    # Rounded as a scalar complex product rounds: numpy's vectorised complex
+    # multiply may fuse a multiply and an add, which moves the last bit.
+    a, b = pol[:, j], pol[:, k].conj()
+    real = a.real * b.real - a.imag * b.imag
+    imag = a.real * b.imag + a.imag * b.real
+    m = np.empty((p, n, n), dtype=complex)
+    m.real[:, j, k] = temporal * (real[..., 0] + real[..., 1])
+    m.imag[:, j, k] = temporal * (imag[..., 0] + imag[..., 1])
+    m[:, k, j] = m[:, j, k].conj()
+    m[:, np.arange(n), np.arange(n)] = 1.0
+    return m
+
+
+def gram_stack(delays, sigmas, polarizations) -> np.ndarray:
+    """Gram matrices of P points of n photons each, as one read-only ``(P, n, n)`` stack.
+
+    ``delays`` and ``sigmas`` are ``(P, n)`` and ``polarizations`` the
+    ``(H, V)`` amplitudes ``(P, n, 2)`` of delayed-Gaussian x polarisation
+    product states.  Every point equals ``gram_matrix`` of its states bit for
+    bit, and the stack is validated as a whole, with one batched
+    eigendecomposition: one bad point fails it with the error
+    :class:`GramMatrix` would raise.
+    """
+    m = _overlap_stack(delays, sigmas, polarizations)
+    _check_gram(m)
+    m.flags.writeable = False
+    return m
+
+
 def gram_matrix(states: list[InternalState]) -> GramMatrix:
-    """Gram matrix of pairwise overlaps of ``states``."""
-    n = len(states)
-    if n < 1:
+    """Gram matrix of pairwise overlaps of ``states``: the one-point :func:`gram_stack`."""
+    if len(states) < 1:
         raise DomainError("need at least one state")
-    m = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        m[j, j] = 1.0
-        for k in range(j + 1, n):
-            v = overlap(states[j], states[k])
-            m[j, k] = v
-            m[k, j] = np.conj(v)
-    return GramMatrix(m)
+    m = _overlap_stack(
+        [[s.temporal.delay for s in states]],
+        [[s.temporal.sigma for s in states]],
+        [[(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in states]],
+    )
+    return GramMatrix(m[0])
 
 
 def triad_phase(g: GramMatrix | np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from triphoton.modes import GaussianTemporalMode, InternalState, PolarizationState
+from triphoton.modes import GaussianTemporalMode, InternalState, PolarizationState, overlap
 
 
 def random_product_states(rng: np.random.Generator, n: int) -> list[InternalState]:
@@ -19,3 +19,18 @@ def random_product_states(rng: np.random.Generator, n: int) -> list[InternalStat
             )
         )
     return states
+
+
+def pairwise_gram(states: list[InternalState]) -> np.ndarray:
+    """The Gram matrix of ``states`` from scalar :func:`overlap` calls, one per pair.
+
+    The loop reference of the stacked builder: unit diagonal, ``overlap(j, k)``
+    above it and its conjugate below.
+    """
+    n = len(states)
+    m = np.eye(n, dtype=complex)
+    for j in range(n):
+        for k in range(j + 1, n):
+            m[j, k] = overlap(states[j], states[k])
+            m[k, j] = np.conj(m[j, k])
+    return m

@@ -268,6 +268,16 @@ class TestConfigValidation:
             (dict(IDEAL_TRIAD, output=ABSOLUTE_OUTPUT), 2, "$.output"),
             (dict(IDEAL_TRIAD, output="missing/x"), 2, "$.output"),
             (dict(IDEAL_TRIAD, output="../x"), 2, "$.output"),
+            # A delay and a width whose squares overflow: the exponent is inf/inf.
+            (
+                {
+                    "mode": "ideal-scan",
+                    "preparation": {"recipe": "all_H", "sigma": 1e200},
+                    "grid": {"kind": "delay", "values": [1e200]},
+                },
+                3,
+                "numerical",
+            ),
         ],
     )
     def test_rejected_run_writes_nothing(self, tmp_path, capsys, cfg, code, location):
@@ -294,6 +304,23 @@ class TestIdealScanRun:
         i_pi = int(np.argmin(np.abs(phis - math.pi)))
         assert p111[i_pi] == pytest.approx(1 / 12, abs=1e-10)
         assert p111[0] == pytest.approx(7 / 36, abs=1e-10)
+
+    def test_overflowing_delay_is_the_distinguishable_point(self, tmp_path):
+        # (1e200)^2 overflows to inf, and exp(-inf) = 0 is the exact overlap:
+        # the run goes on under the run's overflow check.
+        cfg = {
+            "mode": "ideal-scan",
+            "preparation": {"recipe": "all_H", "sigma": 1.0},
+            "grid": {"kind": "delay", "values": [1e200, 0.0]},
+            "output": "demo",
+        }
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run(path, out_dir=str(tmp_path)) == 0
+        header, rows = read_csv(tmp_path / "demo_series.csv")
+        assert rows[:, 0].tolist() == [1e200, 0.0]
+        for name in ("P111", "P011", "P101", "P110"):
+            assert rows[0, header.index(name)] == pytest.approx(2 / 9, abs=1e-15)
+        assert rows[1, header.index("P111")] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_triad_x_column_is_configured_grid(self, tmp_path):
         cfg = {"mode": "ideal-scan", "preparation": {"recipe": "dynamic"}, "output": "demo"}

@@ -211,6 +211,16 @@ def test_bases_run(tmp_path):
         ({"mode": "qubit-analysis", "qubit": {"r12": 0, "r23": 0.5, "r31": 0.5}}, 2),
         # More validation instances than the schema's cap of 100000.
         ({"mode": "validate", "validation": {"instances": 10**12, "seed": 1}}, 2),
+        # A width and a delay whose squares overflow: the overlap exponent is
+        # inf/inf, a non-finite intermediate.
+        (
+            dict(
+                BASES["ideal-scan delay"],
+                preparation={"recipe": "all_H", "sigma": 1e200},
+                grid={"kind": "delay", "values": [1e200]},
+            ),
+            3,
+        ),
     ],
 )
 def test_extreme_inputs(config, code, tmp_path):

@@ -25,6 +25,7 @@ from triphoton.experiment import (
     triad_scan_preparations,
     _click_maps,
     _PointModel,
+    _scan_grams,
 )
 from triphoton.interference import (
     Network,
@@ -42,6 +43,7 @@ from triphoton.source import (
     heralded_ensemble,
 )
 
+from product_states import pairwise_gram
 from test_source import heralded_vectors
 
 # Detection cascades: no splitter, two-way splitters on the first and third
@@ -211,9 +213,43 @@ class TestIdealScans:
                 np.testing.assert_allclose(res.series[key][i], p, rtol=0, atol=1e-15)
 
     def test_empty_scan(self):
-        res = scan_delays("all_H", [], 1.0)
-        assert res.x_values.shape == (0,)
-        assert all(values.shape == (0,) for values in res.series.values())
+        for res in (scan_delays("all_H", [], 1.0), scan_triad([], 1.0)):
+            assert res.x_values.shape == (0,)
+            assert all(values.shape == (0,) for values in res.series.values())
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.0])
+    @pytest.mark.parametrize(
+        "kind, recipe", [("delay", "all_H"), ("delay", "static_pi"), ("triad", "dynamic")]
+    )
+    def test_stack_is_every_point_gram(self, kind, recipe, sigma):
+        values = (
+            np.linspace(-12 * sigma, 12 * sigma, 61) if kind == "delay" else default_phase_grid()
+        )
+        preps, _ = scan_preparations(kind, recipe, values, sigma)
+        stack = _scan_grams(preps)
+        # Bit for bit, signed zeros included, against the one-point builder
+        # and against scalar overlaps.
+        for expected in (
+            np.array([gram_matrix(prepare(p)).entries for p in preps]),
+            np.array([pairwise_gram(prepare(p)) for p in preps]),
+        ):
+            assert stack.shape == expected.shape
+            assert stack.tobytes() == expected.tobytes()
+
+    def test_scan_builds_no_internal_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ideal scan built a per-point state or Gram matrix")
+
+        monkeypatch.setattr(experiment, "InternalState", refuse)
+        monkeypatch.setattr(experiment, "gram_matrix", refuse)
+        assert len(scan_triad(default_phase_grid(), 1.0).x_values) == 33
+        assert len(scan_delays("static_pi", [0.0, 1.0], 1.0).x_values) == 2
+
+    def test_one_bad_point_fails_the_scan(self):
+        preps, _ = scan_preparations("delay", "all_H", [0.0, 1.0, 2.0], 1.0)
+        preps[1] = Preparation("all_H", delays=(0.0, 0.0, 0.0), sigma=-1.0)
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            _scan_grams(preps)
 
 
 class TestScanPreparations:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from product_states import random_product_states
+from product_states import pairwise_gram, random_product_states
 from spectra import normalised, phase_spread, spectral_overlap
 from triphoton.errors import DomainError, TriadPhaseUndefined, UnsupportedModePair
 from triphoton.modes import (
@@ -11,8 +11,10 @@ from triphoton.modes import (
     GramMatrix,
     InternalState,
     PolarizationState,
+    _check_gram,
     circular_distance,
     gram_matrix,
+    gram_stack,
     overlap,
     qubit_triad_phase,
     temporal_overlap,
@@ -120,6 +122,90 @@ class TestGramMatrix:
             GramMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]))
         with pytest.raises(DomainError):
             GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # not PSD
+
+
+def stack_inputs(points):
+    """The (P, n) delays and widths and (P, n, 2) amplitudes of lists of states."""
+    delays = [[s.temporal.delay for s in states] for states in points]
+    sigmas = [[s.temporal.sigma for s in states] for states in points]
+    pols = [
+        [(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in states]
+        for states in points
+    ]
+    return np.array(delays), np.array(sigmas), np.array(pols, dtype=complex)
+
+
+class TestGramStack:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_point_is_its_scalar_overlaps(self, n):
+        rng = np.random.default_rng(40 + n)
+        points = [random_product_states(rng, n) for _ in range(7)]
+        stack = gram_stack(*stack_inputs(points))
+        assert stack.shape == (7, n, n)
+        for g, states in zip(stack, points):
+            # Bit for bit, signed zeros included.
+            assert g.tobytes() == pairwise_gram(states).tobytes()
+            assert g.tobytes() == gram_matrix(states).entries.tobytes()
+
+    def test_read_only(self):
+        stack = gram_stack(*stack_inputs([random_product_states(np.random.default_rng(1), 3)]))
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 1] = 0.0
+
+    def test_empty_stack(self):
+        stack = gram_stack(np.zeros((0, 3)), np.ones((0, 3)), np.zeros((0, 3, 2)))
+        assert stack.shape == (0, 3, 3)
+
+    def test_one_bad_point_fails_the_stack(self):
+        delays, sigmas, pols = stack_inputs(
+            [random_product_states(np.random.default_rng(s), 3) for s in range(5)]
+        )
+        unequal = sigmas.copy()
+        unequal[3, 2] = 1.5
+        with pytest.raises(UnsupportedModePair):
+            gram_stack(delays, unequal, pols)
+        negative = sigmas.copy()
+        negative[2] = -1.0
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            gram_stack(delays, negative, pols)
+        unnormalised = pols.copy()
+        unnormalised[4, 0] *= 1.001
+        with pytest.raises(DomainError, match="polarisation norm"):
+            gram_stack(delays, sigmas, unnormalised)
+        with pytest.raises(DomainError):
+            gram_stack(delays, sigmas[:, :2], pols)
+
+    def test_one_bad_matrix_fails_the_check(self):
+        good = gram_stack(*stack_inputs([random_product_states(np.random.default_rng(2), 3)] * 4))
+        # Unit diagonal and Hermitian, but three vectors cannot be pairwise
+        # this parallel with one antiparallel pair.
+        not_psd = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        for bad, message in (
+            (not_psd, "positive semi-definite"),
+            (np.full((3, 3), np.nan), "Hermitian"),
+            (np.eye(3) * 2.0, "diagonal"),
+        ):
+            stack = good.copy()
+            stack[2] = bad
+            with pytest.raises(DomainError, match=message):
+                _check_gram(stack)
+            with pytest.raises(DomainError, match=message):
+                GramMatrix(bad)
+
+    def test_overflowing_delay_gives_zero_overlap(self):
+        h = np.array([[(1.0, 0.0)] * 2])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            stack = gram_stack([[1e200, 0.0]], [[1.0, 1.0]], h)
+            assert stack[0, 0, 1] == 0.0
+            stack = gram_stack([[1.7e308, -1.7e308]], [[1.0, 1.0]], h)
+            assert stack[0, 0, 1] == 0.0
+
+    @pytest.mark.parametrize("delays, sigma", [((1e200, 0.0), 1e200), ((0.0, 0.0), 1e-320)])
+    def test_undefined_exponent_raises(self, delays, sigma):
+        # inf/inf and 0/0: the width has no representable square.
+        with pytest.raises(FloatingPointError):
+            gram_stack([delays], [[sigma, sigma]], np.array([[(1.0, 0.0)] * 2]))
 
 
 class TestTriadPhase:
