@@ -6,11 +6,11 @@ the collective three-photon phase, a mixed-state extension, a noisy
 heralded-source model with threshold-detector cascades, and an independent
 brute-force Fock-space oracle.  One builder, ``modes.gram_stack``, makes and
 validates the Gram matrices, and one permutation-sum engine,
-``interference._columns_distribution``, gives every event probability: an
-ideal scan builds the ``(P, 3, 3)`` stack of all its points from arrays,
-validates it once and hands it to the engine along its leading point axis;
-the noisy simulation goes point by point through its point model, with
-``modes.gram_matrix``, the builder's one-point case.  The closed forms,
+``interference._columns_distribution``, gives every event probability.
+Ideal scans and the noisy simulation alike build the ``(P, 3, 3)`` stack of
+all their points from arrays, validate it once and hand it to one point
+model, ``experiment._idler_distribution``, which calls the engine along the
+stack's leading point axis.  The closed forms,
 the mixed-state trace formulas and the oracle check the engine; the oracle sees
 polarisation dependence as an explicit 2m-mode network.  ``mixedstate``,
 ``oracle`` and ``source.enumerate_terms`` are reference code, imported from

@@ -28,13 +28,7 @@ from .interference import (
     balanced_tritter,
     occupation_index,
 )
-from .modes import (
-    GaussianTemporalMode,
-    InternalState,
-    PolarizationState,
-    gram_matrix,
-    gram_stack,
-)
+from .modes import GaussianTemporalMode, InternalState, PolarizationState, gram_stack
 from .source import (
     SourceParams,
     _mixing_weight,
@@ -199,47 +193,34 @@ class ScanResult:
             raise DomainError(f"every series needs one value per x value ({len(self.x_values)})")
 
 
-def _scan_grams(preps: list[Preparation]) -> np.ndarray:
-    """The validated ``(P, 3, 3)`` Gram stack of the preparations, built without internal states."""
-    # (P, 3) and (P, 3, 2) arrays, also when there is no preparation.
-    return gram_stack(
-        np.array([p.delays for p in preps], dtype=float).reshape(-1, 3),
-        np.array([(p.sigma,) * 3 for p in preps], dtype=float).reshape(-1, 3),
-        np.array([_polarizations(p) for p in preps], dtype=complex).reshape(-1, 3, 2),
-    )
-
-
 def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
     """Balanced-tritter events of pure photons, one per input, at every preparation.
 
-    What the point model of :func:`simulate_counts` gives with common-mode
-    weight 1: the three-photon events are its (1, 1, 1) configuration, and
-    each two-photon marginal is the configuration of its input pair,
-    detected at those outputs.  The preparations' delays, widths and
-    polarisation amplitudes go to :func:`~triphoton.modes.gram_stack` as
-    arrays, which builds every point's Gram matrix and validates the stack
-    once; the engine then takes the stack along its point axis, in one call
-    for the three-photon events and one per pair on the pair's 2x2 sub-Grams.
+    The point model of :func:`simulate_counts` with common-mode weight 1,
+    on the same one-block Gram stack (:func:`_point_blocks`): the
+    three-photon events are its (1, 1, 1) configuration, and each
+    two-photon marginal is the configuration of its input pair, detected at
+    those outputs.  That is one engine call for the three-photon events and
+    one per pair, whatever the number of points.
     """
     xs = np.asarray(list(x_values), dtype=float)
     net = balanced_tritter()
     column = {name: row for row, name in enumerate(IDEAL_EVENT_ORDER)}
     triples = [column["P" + "".join(map(str, occ))] for occ in _occupations(3, 3)]
     pair_index = occupation_index(2, 3)
-    grams = _scan_grams(preps)
+    ((columns, grams),) = _point_blocks(preps, net, net)
     values = np.empty((len(IDEAL_EVENT_ORDER), len(preps)))
-    values[triples] = _columns_distribution(net.matrix, grams, (0, 1, 2)).T
+    values[triples] = _idler_distribution(columns, grams, 1.0, (1, 1, 1)).T
     for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-        modes = tuple(i for i in range(3) if pairs[i])
-        sub = grams[:, modes][:, :, modes]
         row = column["P" + "".join(map(str, pairs))]
-        values[row] = _columns_distribution(net.matrix[:, modes], sub, modes)[:, pair_index[pairs]]
+        values[row] = _idler_distribution(columns, grams, 1.0, pairs)[:, pair_index[pairs]]
     return ScanResult(x_name=x_name, x_values=xs, series=dict(zip(IDEAL_EVENT_ORDER, values)))
 
 
 def scan_delays(recipe: str, tau_values, sigma: float) -> ScanResult:
     """Ideal-model event probabilities along a symmetric delay scan."""
-    return _ideal_scan(*scan_preparations("delay", recipe, tau_values, sigma), tau_values)
+    taus = np.asarray(list(tau_values), dtype=float)
+    return _ideal_scan(*scan_preparations("delay", recipe, taus, sigma), taus)
 
 
 def scan_triad(phi_values, sigma: float) -> ScanResult:
@@ -250,7 +231,8 @@ def scan_triad(phi_values, sigma: float) -> ScanResult:
     condition keeps all three overlap moduli at 1/2, so the coincidence
     follows (5/4 + cos(phi)/2)/9 while the two-photon marginals stay at 7/36.
     """
-    return _ideal_scan(*scan_preparations("triad", "dynamic", phi_values, sigma), phi_values)
+    phis = np.asarray(list(phi_values), dtype=float)
+    return _ideal_scan(*scan_preparations("triad", "dynamic", phis, sigma), phis)
 
 
 SPLITTER_LEAVES = {"none": 1, "beamsplitter_2way": 2, "tritter_3way": 3}
@@ -278,8 +260,11 @@ class DetectionCascade:
 
     def click_distribution(self, occupation: tuple[int, ...]) -> dict[tuple[int, ...], float]:
         """Joint click-count probabilities given the output-mode occupation."""
+        occ = tuple(occupation)
+        if len(occ) != 3 or not all(isinstance(s, (int, np.integer)) and s >= 0 for s in occ):
+            raise DomainError(f"an occupation is three nonnegative integers, got {occupation!r}")
         a, beta = _click_tables(self)
-        probs = a @ np.prod(beta ** np.asarray(occupation), axis=1)
+        probs = a @ np.prod(beta ** np.array(occ), axis=1)
         return {pattern: p for pattern, p in zip(self.patterns(), probs) if p > 0.0}
 
 
@@ -351,64 +336,63 @@ def _fold_matrix(n: int) -> np.ndarray:
     return fold
 
 
-class _PointModel:
-    """Per-scan-point machinery shared by all source terms.
+def _idler_distribution(
+    columns: np.ndarray, grams: np.ndarray, p_common: float, pairs: tuple[int, int, int]
+) -> np.ndarray:
+    """Output distribution of the pair idlers at every point of a Gram stack.
 
-    ``p_common`` is the common-mode weight of the source's mixedness model
-    (:func:`triphoton.source._mixing_weight`); 1 means pure photons.  The
-    network is polarisation dependent when any entry of ``net_h.matrix`` and
-    ``net_v.matrix`` differs.  ``columns[:, j]`` holds the output amplitudes
-    of an idler of source j: the H network's column, or under a
-    polarisation-dependent network its rows over (output, H) then
-    (output, V), weighted by the source's polarisation amplitudes, so
-    polarisation moves from the internal state to the mode.
+    Row p of the ``(P, occupations)`` result, over ``_occupations(sum(pairs), 3)``,
+    is that of the sources' validated Gram matrix ``grams[p]``.  An idler of
+    source j leaves by ``columns[:, j]``: a network column, or with 6 rows
+    its (output, H) then (output, V) amplitudes, folded onto the outputs
+    after the sum.  ``p_common`` is the common-mode weight of
+    :func:`triphoton.source._mixing_weight`.  Mixedness enters as convex
+    branches, one engine call each: every source puts all its idlers in the
+    common slot (weight p) or its own slot (weight 1 - p), and idlers in
+    different slots are orthogonal.
     """
+    if not any(pairs):
+        return np.ones((len(grams), 1))
+    participating = [i for i in range(3) if pairs[i] > 0]
+    modes = tuple(i for i in participating for _ in range(pairs[i]))
+    idlers, overlaps = columns.take(modes, 1), grams.take(modes, -2).take(modes, -1)
+    p = p_common
+    branches = [[(1.0, 0)] if p >= 1.0 else [(p, 0), (1.0 - p, 1 + i)] for i in participating]
+    total = 0.0
+    for combo in product(*branches):
+        weight = math.prod(w for w, _ in combo)
+        slots = np.array([s for (_, s), i in zip(combo, participating) for _ in range(pairs[i])])
+        # Each validated Gram restricted to the idlers' modes is P G P^T for a
+        # 0/1 selection P, and a 0/1 block mask keeps it PSD by the Schur
+        # product theorem: the branch Grams are not re-checked.
+        masked = overlaps * (slots[:, None] == slots[None, :]) if slots.any() else overlaps
+        total = total + weight * _columns_distribution(idlers, masked, modes)
+    return total @ _fold_matrix(len(modes)).T if len(columns) > 3 else total
 
-    def __init__(
-        self, states: list[InternalState], p_common: float, net_h: Network, net_v: Network
-    ):
-        self.pol_dependent = not np.array_equal(net_h.matrix, net_v.matrix)
-        self.p_common = p_common
-        if self.pol_dependent:
-            pol = np.array(
-                [(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in states],
-                dtype=complex,
-            )
-            self.columns = np.vstack([net_h.matrix * pol[:, 0], net_v.matrix * pol[:, 1]])
-            states = [InternalState(s.temporal) for s in states]
-        else:
-            self.columns = net_h.matrix
-        # The one validated Gram matrix of the point: the sources' pure internal
-        # states, or only their temporal modes when the columns carry polarisation.
-        self.overlaps = gram_matrix(states).entries
 
-    def pair_distribution(self, pairs: tuple[int, int, int]) -> np.ndarray:
-        """Output distribution of the pair idlers over output_occupations(sum(pairs), 3).
+def _point_blocks(
+    preparations: list[Preparation], net_h: Network, net_v: Network
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(columns, grams)`` blocks of :func:`_idler_distribution` covering the points in order.
 
-        Computed by the permutation-sum engine.  Mixedness enters as convex
-        branches: in each, every source puts all its idlers in one slot, the
-        common slot (weight p) or its own slot (weight 1 - p), and idlers in
-        different slots are orthogonal.  Idlers sharing an input mode
-        therefore share one internal state.
-        """
-        if not any(pairs):
-            return np.ones(1)
-        participating = [i for i in range(3) if pairs[i] > 0]
-        modes = tuple(i for i in participating for _ in range(pairs[i]))
-        columns = self.columns[:, list(modes)]
-        overlaps = self.overlaps[np.ix_(modes, modes)]
-        p = self.p_common
-        branches = [[(1.0, 0)] if p >= 1.0 else [(p, 0), (1.0 - p, 1 + i)] for i in participating]
-        total = 0.0
-        for combo in product(*branches):
-            weight = math.prod(w for w, _ in combo)
-            slots = np.repeat([slot for _, slot in combo], [pairs[i] for i in participating])
-            # The point Gram (validated once) restricted to the idlers' modes is
-            # P G P^T for a 0/1 selection P, and a 0/1 block mask keeps it PSD by
-            # the Schur product theorem: the branch Gram is not re-checked.
-            gram = overlaps * (slots[:, None] == slots[None, :])
-            total = total + weight * _columns_distribution(columns, gram, modes)
-        return _fold_matrix(len(modes)) @ total if self.pol_dependent else total
+    One :func:`~triphoton.modes.gram_stack` call, with no internal state,
+    gives every point's Gram matrix.  Unless any entry of ``net_h.matrix``
+    and ``net_v.matrix`` differs, one block holds them all.  Otherwise each
+    point is a block: its H-over-V columns weighted by its polarisation
+    amplitudes, and its temporal overlaps; stacking points with their own
+    columns would only multiply the amplitude tables.
+    """
+    # (P, 3) and (P, 3, 2) arrays, also when there is no preparation.
+    delays = np.array([p.delays for p in preparations], dtype=float).reshape(-1, 3)
+    sigmas = np.array([(p.sigma,) * 3 for p in preparations], dtype=float).reshape(-1, 3)
+    pol = np.array([_polarizations(p) for p in preparations], dtype=complex).reshape(-1, 3, 2)
+    if np.array_equal(net_h.matrix, net_v.matrix):
+        return [(net_h.matrix, gram_stack(delays, sigmas, pol))]
+    temporal = gram_stack(delays, sigmas, np.broadcast_to([1.0, 0.0], pol.shape))
+    return [
+        (np.vstack([net_h.matrix * h, net_v.matrix * v]), temporal[i : i + 1])
+        for i, (h, v) in enumerate(zip(pol[..., 0], pol[..., 1]))
+    ]
 
 
 def simulate_counts(
@@ -431,13 +415,15 @@ def simulate_counts(
     at weight c[L] each.  The noise and detection part does not depend on
     the scan point and is built once per run: one closed-form click-pattern
     matrix per pair configuration, with its idler noise photons summed in
-    (:func:`_click_maps`).  At every point the permutation-sum
-    engine gives each configuration's pair idlers as a dense distribution,
-    with source impurity as convex branches over mixedness slots and a
-    polarisation-dependent network by mode doubling; the click patterns are
-    the sum of matrix-vector products.  The mixed-state trace formulas are
-    the reference the tests check the engine against.  Series are
-    probabilities per triple-heralded trial.
+    (:func:`_click_maps`).  :func:`_idler_distribution` gives each
+    configuration's pair idlers as dense distributions at every point of
+    a block (:func:`_point_blocks`), with source impurity as convex
+    branches over mixedness slots and a polarisation-dependent network by
+    mode doubling.  Under H = V all points are one block, so each
+    (configuration, branch) is one engine call per run.  The click
+    patterns are the sum of the maps' matrix products.  The mixed-state
+    trace formulas are the reference the tests check the engine against.
+    Series are probabilities per triple-heralded trial.
 
     Every point's click patterns must sum to 1 within 1e-12 and stay above
     -1e-12, else :class:`NumericalInconsistency` is raised; they are then
@@ -461,9 +447,12 @@ def simulate_counts(
     maps = _click_maps(heralded, cascade, net_h, net_v)
     p_common = _mixing_weight(source.purity)
     counts = np.zeros((len(names), len(preparations)))
-    for i, prep in enumerate(preparations):
-        model = _PointModel(prepare(prep), p_common, net_h, net_v)
-        counts[:, i] = sum(m @ model.pair_distribution(pairs) for pairs, m in maps.items())
+    start = 0
+    for columns, grams in _point_blocks(preparations, net_h, net_v):
+        block = counts[:, start : start + len(grams)]
+        for pairs, m in maps.items():
+            block += m @ _idler_distribution(columns, grams, p_common, pairs).T
+        start += len(grams)
     counts /= herald_norm
     worst_total = float(np.abs(counts.sum(axis=0) - 1.0).max(initial=0.0))
     lowest = float(counts.min(initial=0.0))

@@ -31,6 +31,8 @@ from .errors import DomainError, NumericalInconsistency, SizeLimit
 from .modes import GramMatrix
 
 DEFAULT_MAX_PHOTONS = 6
+# Bytes of S-product table per engine block: one 6-photon point's 720**2 complex values.
+_BLOCK_BYTES = 2**23
 
 
 @dataclass(frozen=True)
@@ -203,8 +205,9 @@ def _columns_distribution(
     one bad probability at any point fails the whole stack.
     ``input_modes[i]`` is photon i's input mode.  Photons sharing a mode
     must share one internal state, so the input norm is prod_j r_j! over
-    the mode occupations r_j.  The S-product table is built once for all
-    occupations.
+    the mode occupations r_j.  The amplitude table is built once; the
+    S-product tables go in blocks of points of at most ``_BLOCK_BYTES``, so
+    a long stack costs time, not memory, and the blocks move no bit.
     """
     cols = np.asarray(columns, dtype=complex)
     n = cols.shape[1]
@@ -213,16 +216,21 @@ def _columns_distribution(
     if s.ndim not in (2, 3) or s.shape[-2:] != (n, n) or len(input_modes) != n:
         raise DomainError("Gram matrix and input modes must match the photon number")
     perms, rows, factors = _sum_tables(n, cols.shape[0])
-    # sprod[..., a, b] = prod_k S[..., perm_a(k), perm_b(k)] and
     # amps[o, a] = prod_k columns[rows[o, k], perm_a(k)], one factor per photon k.
-    sprod = s.take(perms[0], -2).take(perms[0], -1)
     amps = cols.take(rows[0], 0).take(perms[0], 1)
     for k in range(1, n):
-        sprod *= s.take(perms[k], -2).take(perms[k], -1)
         amps *= cols.take(rows[k], 0).take(perms[k], 1)
-    # One (stacked) matrix product: einsum's unoptimised triple loop is 35x
-    # slower at 6 photons.
-    raw = ((amps @ sprod) * amps.conj()).sum(axis=-1)
+    raw = np.empty(s.shape[:-2] + factors.shape, dtype=complex)
+    points, grams = raw.reshape(-1, len(factors)), s.reshape(-1, n, n)
+    step = max(1, _BLOCK_BYTES // (16 * perms.shape[1] ** 2))
+    for start in range(0, len(grams), step):
+        block = grams[start : start + step]
+        # sprod[p, a, b] = prod_k S[p, perm_a(k), perm_b(k)].
+        sprod = block.take(perms[0], -2).take(perms[0], -1)
+        for k in range(1, n):
+            sprod *= block.take(perms[k], -2).take(perms[k], -1)
+        # One stacked matrix product: einsum's triple loop is 35x slower at 6 photons.
+        points[start : start + step] = ((amps @ sprod) * amps.conj()).sum(axis=-1)
     input_factor = math.prod(math.factorial(input_modes.count(j)) for j in set(input_modes))
     return _finalize_probabilities(raw / (factors * input_factor))
 

@@ -24,12 +24,14 @@ from triphoton.experiment import (
     theta_for_phase,
     triad_scan_preparations,
     _click_maps,
-    _PointModel,
-    _scan_grams,
+    _idler_distribution,
+    _point_blocks,
 )
+from triphoton import interference, modes
 from triphoton.interference import (
     Network,
     balanced_tritter,
+    event_distribution,
     occupation_index,
     output_occupations,
 )
@@ -62,6 +64,12 @@ IDEAL_SOURCE = SourceParams(
     truncation_noise_photons=0,
     herald_efficiency=1.0,
 )
+
+
+def point_idlers(prep, p_common, net_h, net_v, pairs):
+    """The pair idlers' distribution at the one point of ``prep``."""
+    ((columns, grams),) = _point_blocks([prep], net_h, net_v)
+    return _idler_distribution(columns, grams, p_common, pairs)[0]
 
 
 def perturbed_tritter(eps=0.15):
@@ -187,8 +195,8 @@ class TestIdealScans:
 
     @pytest.mark.parametrize("recipe", ["all_H", "static_pi", "dynamic"])
     def test_is_the_point_model_with_pure_photons(self, recipe):
-        # The scan hands the engine every point's Gram at once; the point
-        # model of simulate_counts, one point at a time, is its reference.
+        # The scan hands the engine every point's Gram at once; the engine's
+        # front end on each point's own Gram matrix is its reference.
         rng = np.random.default_rng(61)
         sigma = rng.uniform(0.5, 2.0)
         if recipe == "dynamic":
@@ -203,11 +211,13 @@ class TestIdealScans:
         name = lambda occ: "P" + "".join(map(str, occ))
         pair_index = occupation_index(2, 3)
         for i, prep in enumerate(preps):
-            model = _PointModel(prepare(prep), 1.0, net, net)
-            three = model.pair_distribution((1, 1, 1))
-            expected = dict(zip(map(name, output_occupations(3, 3)), three))
+            g = gram_matrix(prepare(prep)).entries
+            three = event_distribution(net, (0, 1, 2), g)
+            expected = {name(occ): p for occ, p in three.items()}
             for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-                expected[name(pairs)] = model.pair_distribution(pairs)[pair_index[pairs]]
+                inputs = tuple(i for i in range(3) if pairs[i])
+                sub = g[np.ix_(inputs, inputs)]
+                expected[name(pairs)] = event_distribution(net, inputs, sub)[pairs]
             assert sorted(expected) == sorted(res.series)
             for key, p in expected.items():
                 np.testing.assert_allclose(res.series[key][i], p, rtol=0, atol=1e-15)
@@ -226,7 +236,7 @@ class TestIdealScans:
             np.linspace(-12 * sigma, 12 * sigma, 61) if kind == "delay" else default_phase_grid()
         )
         preps, _ = scan_preparations(kind, recipe, values, sigma)
-        stack = _scan_grams(preps)
+        ((_, stack),) = _point_blocks(preps, balanced_tritter(), balanced_tritter())
         # Bit for bit, signed zeros included, against the one-point builder
         # and against scalar overlaps.
         for expected in (
@@ -238,18 +248,33 @@ class TestIdealScans:
 
     def test_scan_builds_no_internal_state(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("an ideal scan built a per-point state or Gram matrix")
+            raise AssertionError("a scan built a per-point state or Gram matrix")
 
         monkeypatch.setattr(experiment, "InternalState", refuse)
-        monkeypatch.setattr(experiment, "gram_matrix", refuse)
+        monkeypatch.setattr(experiment, "prepare", refuse)
+        monkeypatch.setattr(modes, "gram_matrix", refuse)
+        assert not hasattr(experiment, "gram_matrix")
         assert len(scan_triad(default_phase_grid(), 1.0).x_values) == 33
         assert len(scan_delays("static_pi", [0.0, 1.0], 1.0).x_values) == 2
+        preps, _ = scan_preparations("triad", "dynamic", [0.0, 2.0], 1.0)
+        preps += delay_scan_preparations("static_pi", [1.3], 1.0)
+        for net_v in (None, perturbed_tritter()):
+            counts = simulate_counts(preps, SourceParams(), DetectionCascade(), None, net_v)
+            assert len(counts.x_values) == 3
+
+    def test_values_are_read_once(self):
+        # A generator is used up by the first pass over it.
+        taus, phis = [0.0, 1.0, 2.5], [0.0, 2.0]
+        assert scan_delays("all_H", iter(taus), 1.0).x_values.tolist() == taus
+        res = scan_triad(iter(phis), 1.0)
+        assert res.x_values.tolist() == phis
+        assert res.series["P111"].tolist() == scan_triad(phis, 1.0).series["P111"].tolist()
 
     def test_one_bad_point_fails_the_scan(self):
         preps, _ = scan_preparations("delay", "all_H", [0.0, 1.0, 2.0], 1.0)
         preps[1] = Preparation("all_H", delays=(0.0, 0.0, 0.0), sigma=-1.0)
         with pytest.raises(DomainError, match="sigma must be positive"):
-            _scan_grams(preps)
+            _point_blocks(preps, balanced_tritter(), balanced_tritter())
 
 
 class TestScanPreparations:
@@ -309,6 +334,12 @@ class TestCascade:
         for occ in [(3, 0, 0), (1, 1, 1), (2, 1, 0), (0, 0, 0), (2, 2, 1)]:
             dist = cascade.click_distribution(occ)
             assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("occupation", [(2,), (-1, 0, 1), (1, 1), (1.0, 1, 1)])
+    def test_occupation_must_be_three_nonnegative_integers(self, occupation):
+        # (2,) would broadcast and (-1, 0, 1) give two patterns at probability 1.
+        with pytest.raises(DomainError, match="three nonnegative integers"):
+            DetectionCascade(BEAMSPLITTERS_1_3).click_distribution(occupation)
 
     def test_topologies(self):
         assert DetectionCascade().leaves == (1, 1, 1)
@@ -405,11 +436,11 @@ class TestSimulateCounts:
         net = balanced_tritter()
         maps = shifted(heralded, cascade, net, net)
         p_common = _mixing_weight(source.purity)
-        raw = []
-        for prep in preps:
-            model = _PointModel(prepare(prep), p_common, net, net)
-            raw.append(sum(m @ model.pair_distribution(pairs) for pairs, m in maps.items()))
-        raw = np.array(raw).T / herald_norm(heralded)
+        ((columns, grams),) = _point_blocks(preps, net, net)
+        raw = sum(
+            m @ _idler_distribution(columns, grams, p_common, pairs).T for pairs, m in maps.items()
+        )
+        raw = raw / herald_norm(heralded)
         clipped = np.array(list(counts.series.values()))
         assert raw.min() < -1e-13
         assert np.all((clipped >= 0.0) & (clipped <= 1.0))
@@ -450,6 +481,45 @@ class TestSimulateCounts:
         for name, series in counts.series.items():
             coefficients = np.linalg.lstsq(basis, series, rcond=None)[0]
             assert np.max(np.abs(basis @ coefficients - series)) <= 1e-12, name
+
+    @pytest.mark.parametrize("split", [False, True], ids=["h=v", "h!=v"])
+    @pytest.mark.parametrize("purity", [0.9, 1.0])
+    @pytest.mark.parametrize(
+        "cascade", [DetectionCascade(), DetectionCascade(BEAMSPLITTERS_1_3, 0.6)]
+    )
+    def test_run_is_its_one_point_runs(self, split, purity, cascade):
+        # The points of a run share engine calls; each must read as if alone.
+        net_v = perturbed_tritter() if split else None
+        source = SourceParams(purity=purity)
+        preps = triad_scan_preparations([theta_for_phase(p) for p in (0.0, 2.0, 4.5)], 1.0)
+        preps += delay_scan_preparations("static_pi", [0.0, 1.3], 1.0)
+        preps += delay_scan_preparations("all_H", [0.0027], 1.07)
+        run = simulate_counts(preps, source, cascade, None, net_v)
+        for i, prep in enumerate(preps):
+            alone = simulate_counts([prep], source, cascade, None, net_v)
+            for name, series in run.series.items():
+                np.testing.assert_allclose(series[i], alone.series[name][0], rtol=0, atol=1e-15)
+
+    def test_one_point_per_engine_block_changes_nothing(self, monkeypatch):
+        # Engine blocks bound memory; how the points fall into them moves no
+        # bit.  At this budget 5 pair idlers take blocks of 36 points, so the
+        # 40 points fall in two blocks, or in 40 with no byte to spare.
+        source = SourceParams(purity=0.9, truncation_total_photons=10, truncation_noise_photons=2)
+        phis = np.linspace(0.0, 2 * math.pi, 40)
+        preps, _ = scan_preparations("triad", "dynamic", phis, 1.0)
+        runs = []
+        for block_bytes in (interference._BLOCK_BYTES, 0):
+            monkeypatch.setattr(interference, "_BLOCK_BYTES", block_bytes)
+            runs.append(
+                [
+                    simulate_counts(preps, source, DetectionCascade(TRITTER_1)).series,
+                    scan_triad(phis, 1.0).series,
+                ]
+            )
+        for blocked, single in zip(*runs):
+            assert list(blocked) == list(single)
+            for name in blocked:
+                assert np.array_equal(blocked[name], single[name]), name
 
     def test_truncation_metadata(self):
         counts = simulate_counts(
@@ -519,10 +589,10 @@ def per_term_counts(preps, source, cascade, net_h, net_v):
     p_common = _mixing_weight(source.purity)
     out = []
     for prep in preps:
-        model = _PointModel(prepare(prep), p_common, net_h, net_v)
         acc = {}
         for (pairs, noise), weight in heralded.items():
-            dist = dict(zip(output_occupations(sum(pairs), 3), model.pair_distribution(pairs)))
+            idlers = point_idlers(prep, p_common, net_h, net_v, pairs)
+            dist = dict(zip(output_occupations(sum(pairs), 3), idlers))
             dist = convolve_noise(dist, noise, net_h, net_v)
             for occ, p in dist.items():
                 for pattern, q in cascade.click_distribution(occ).items():
@@ -611,7 +681,7 @@ class TestPointModel:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(branch_grams())
     def test_branch_grams_pass_validation(self, instance):
-        # What _PointModel hands the engine unchecked: the point Gram on the
+        # What _idler_distribution hands the engine unchecked: the point Gram on the
         # idlers' modes, masked to the pairs of idlers that share a slot.
         g, idlers, slots = instance
         GramMatrix(g.entries[np.ix_(idlers, idlers)] * (slots[:, None] == slots[None, :]))
@@ -626,15 +696,13 @@ class TestPointModel:
         )
         for net in (balanced_tritter(), perturbed_tritter()):
             for prep in preps:
-                states = prepare(prep)
-                point = _PointModel(states, _mixing_weight(purity), net, net)
-                densities = build_densities(states, purity)
+                densities = build_densities(prepare(prep), purity)
                 for pairs in ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
                     inputs = tuple(i for i in range(3) if pairs[i])
                     reference = mixed_event_distribution(
                         net, inputs, [densities[i] for i in inputs]
                     )
-                    dist = point.pair_distribution(pairs)
+                    dist = point_idlers(prep, _mixing_weight(purity), net, net, pairs)
                     assert list(reference) == output_occupations(len(inputs), 3)
                     assert len(dist) == len(reference)
                     for q, p in zip(dist, reference.values()):
@@ -647,8 +715,8 @@ class TestPolarizationDependence:
         values = []
         for phi in np.linspace(0, 2 * math.pi, 7):
             prep = triad_scan_preparations([theta_for_phase(phi)], 1.0)[0]
-            model = _PointModel(prepare(prep), 1.0, net, net)
-            values.append(model.pair_distribution((1, 1, 0))[occupation_index(2, 3)[(1, 1, 0)]])
+            dist = point_idlers(prep, 1.0, net, net, (1, 1, 0))
+            values.append(dist[occupation_index(2, 3)[(1, 1, 0)]])
         assert np.ptp(values) < 1e-12
         assert values[0] == pytest.approx(7 / 36, abs=1e-12)
 
@@ -657,8 +725,8 @@ class TestPolarizationDependence:
         values = []
         for phi in np.linspace(0, 2 * math.pi, 7):
             prep = triad_scan_preparations([theta_for_phase(phi)], 1.0)[0]
-            model = _PointModel(prepare(prep), 1.0, net_h, net_v)
-            values.append(model.pair_distribution((1, 1, 0))[occupation_index(2, 3)[(1, 1, 0)]])
+            dist = point_idlers(prep, 1.0, net_h, net_v, (1, 1, 0))
+            values.append(dist[occupation_index(2, 3)[(1, 1, 0)]])
         assert np.ptp(values) > 1e-3
 
     def test_pair_distribution_covariant_under_output_relabelling(self):
@@ -669,19 +737,16 @@ class TestPolarizationDependence:
         preps = triad_scan_preparations([theta_for_phase(2.0)], 1.0)
         preps += delay_scan_preparations("static_pi", [0.8], 1.0)
         for prep in preps:
-            states = prepare(prep)
-            model = _PointModel(states, p_common, net_h, net_v)
             for out in itertools.permutations(range(3)):
                 moved_h = Network(net_h.matrix[np.argsort(out)])
                 moved_v = Network(net_v.matrix[np.argsort(out)])
-                moved = _PointModel(states, p_common, moved_h, moved_v)
                 for pairs in itertools.product(range(3), repeat=3):
                     if not 1 <= sum(pairs) <= 4:
                         continue
                     occupations = output_occupations(sum(pairs), 3)
                     index = occupation_index(sum(pairs), 3)
-                    dist = model.pair_distribution(pairs)
-                    relabelled = moved.pair_distribution(pairs)
+                    dist = point_idlers(prep, p_common, net_h, net_v, pairs)
+                    relabelled = point_idlers(prep, p_common, moved_h, moved_v, pairs)
                     for occ, p in zip(occupations, dist):
                         target = [0, 0, 0]
                         for k, s in enumerate(occ):

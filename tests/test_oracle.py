@@ -8,7 +8,8 @@ from oracle_inputs import expand_inputs, vectors_from_gram
 from product_states import random_product_states
 from triphoton.errors import SizeLimit
 from triphoton.experiment import (
-    _PointModel,
+    _idler_distribution,
+    _point_blocks,
     prepare,
     theta_for_phase,
     triad_scan_preparations,
@@ -324,16 +325,18 @@ class TestPairDistribution:
             net_v = Network(net_h.matrix * np.exp(1j * split * np.array([0, 1, -1])))
         else:
             net_v = net_h
-        states = prepare(triad_scan_preparations([theta_for_phase(2.0)], 1.0)[0])
-        model = _PointModel(states, _mixing_weight(purity), net_h, net_v)
+        prep = triad_scan_preparations([theta_for_phase(2.0)], 1.0)[0]
+        states = prepare(prep)
+        ((columns, grams),) = _point_blocks([prep], net_h, net_v)
         # An equal but distinct V network takes the plain path.
-        twin = _PointModel(states, _mixing_weight(purity), net_h, Network(net_h.matrix.copy()))
+        ((twin_columns, twin_grams),) = _point_blocks([prep], net_h, Network(net_h.matrix.copy()))
         for pairs in product(range(5), repeat=3):
             if not 2 <= sum(pairs) <= 4:
                 continue
-            dist = model.pair_distribution(pairs)
+            (dist,) = _idler_distribution(columns, grams, _mixing_weight(purity), pairs)
             if split is False:
-                assert np.array_equal(twin.pair_distribution(pairs), dist)
+                twin = _idler_distribution(twin_columns, twin_grams, _mixing_weight(purity), pairs)
+                assert np.array_equal(twin[0], dist)
             reference = oracle_pair_distribution(states, purity, pairs, net_h, net_v)
             occupations = output_occupations(sum(pairs), 3)
             assert set(reference) <= set(occupations)
