@@ -5,6 +5,16 @@ JSON configuration, ``validate`` runs the oracle-equivalence suite and
 ``version`` prints the library version.  Data files are written
 deterministically (17 significant digits, no timestamps); the metadata file
 echoes the fully resolved configuration and is itself a valid configuration.
+
+``CONFIG_SCHEMA`` declares the configuration in JSON Schema 2020-12, and
+``_errors`` checks a configuration against it without a schema library.  The
+checker implements only the keywords the schema uses, in jsonschema's
+wording: ``type`` (a bool is no number, and an integer must be a JSON
+integer), ``enum``, ``const``, ``not``, ``pattern``, ``minimum``,
+``exclusiveMinimum``, ``maximum``, ``exclusiveMaximum``, ``minItems``,
+``maxItems``, ``items``, ``properties``, ``additionalProperties: false``,
+``required``, ``dependentRequired``, ``dependentSchemas`` and ``if``/``then``.
+The tests check it against jsonschema and fail on any other keyword.
 """
 
 from __future__ import annotations
@@ -14,10 +24,11 @@ import dataclasses
 import datetime
 import json
 import math
+import operator
+import re
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -169,14 +180,83 @@ CONFIG_SCHEMA = {
 }
 
 
-# The draft's "integer" also admits integral floats such as 3.0, which range()
-# and linspace() refuse; a count in a config must be a JSON integer.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)
-    ),
-)
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    # The draft's "integer" also admits integral floats such as 3.0, which
+    # range() and linspace() refuse; a count in a config must be a JSON integer.
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+}
+
+# Each numeric bound: the comparison that breaks it, and jsonschema's wording.
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+
+
+def _valid(value, schema) -> bool:
+    return next(_errors(value, schema), None) is None
+
+
+def _errors(value, schema: dict, path: str = "$"):
+    """Yield ``(JSON path, message)`` for each way ``value`` breaks ``schema``.
+
+    Paths and messages are jsonschema's for the keywords the module
+    docstring lists; ``schema`` uses no other keyword, its enum and const
+    values are strings and its property names are plain identifiers.
+    """
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        yield path, f"{value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if "const" in schema and value != schema["const"]:
+        yield path, f"{schema['const']!r} was expected"
+    if "not" in schema and _valid(value, schema["not"]):
+        yield path, f"{value!r} should not be valid under {schema['not']!r}"
+    if "if" in schema and "then" in schema and _valid(value, schema["if"]):
+        yield from _errors(value, schema["then"], path)
+    if isinstance(value, str) and "pattern" in schema and not re.search(schema["pattern"], value):
+        yield path, f"{value!r} does not match {schema['pattern']!r}"
+    if _TYPES["number"](value):
+        for keyword, (breaks, words) in _BOUNDS.items():
+            if keyword in schema and breaks(value, schema[keyword]):
+                yield path, f"{value!r} {words} {schema[keyword]!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            yield path, f"{value!r} {short}"
+        if len(value) > schema.get("maxItems", math.inf):
+            long = "is expected to be empty" if schema["maxItems"] == 0 else "is too long"
+            yield path, f"{value!r} {long}"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _errors(item, schema["items"], f"{path}[{i}]")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, sub in properties.items():
+            if key in value:
+                yield from _errors(value[key], sub, f"{path}.{key}")
+        extras = sorted((key for key in value if key not in properties), key=str)
+        if schema.get("additionalProperties", True) is False and extras:
+            listed = ", ".join(repr(key) for key in extras)
+            verb = "was" if len(extras) == 1 else "were"
+            yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        for key, needed in schema.get("dependentRequired", {}).items():
+            if key in value:
+                for each in needed:
+                    if each not in value:
+                        yield path, f"{each!r} is a dependency of {key!r}"
+        for key, sub in schema.get("dependentSchemas", {}).items():
+            if key in value:
+                yield from _errors(value, sub, path)
 
 
 def _finite_float(text: str) -> float:
@@ -200,8 +280,7 @@ def load_config(path: str | Path) -> dict:
 
 def _checked(raw) -> dict:
     """``raw`` if it satisfies the schema and holds only blocks its mode reads."""
-    errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(raw), key=lambda e: e.json_path)
-    details = [f"{e.json_path}: {e.message}" for e in errors]
+    details = [f"{path}: {message}" for path, message in sorted(_errors(raw, CONFIG_SCHEMA))]
     mode = raw.get("mode") if isinstance(raw, dict) else None
     # A list, not the dict: an unhashable mode is a schema error, not a TypeError.
     if mode in list(MODE_BLOCKS):

@@ -31,7 +31,8 @@ from .errors import DomainError, NumericalInconsistency, SizeLimit
 from .modes import GramMatrix
 
 DEFAULT_MAX_PHOTONS = 6
-# Bytes of S-product table per engine block: one 6-photon point's 720**2 complex values.
+# Bytes of the larger per-block table, the S-product table or the amplitude
+# product: one 6-photon point's 720**2 complex S-products.
 _BLOCK_BYTES = 2**23
 
 
@@ -205,9 +206,11 @@ def _columns_distribution(
     one bad probability at any point fails the whole stack.
     ``input_modes[i]`` is photon i's input mode.  Photons sharing a mode
     must share one internal state, so the input norm is prod_j r_j! over
-    the mode occupations r_j.  The amplitude table is built once; the
-    S-product tables go in blocks of points of at most ``_BLOCK_BYTES``, so
-    a long stack costs time, not memory, and the blocks move no bit.
+    the mode occupations r_j.  The amplitude table is built once; the points
+    go in blocks whose S-product table (n!**2 values a point) and amplitude
+    product (occupations x n! values a point) each stay within
+    ``_BLOCK_BYTES``, so a long stack costs time, not memory, and the blocks
+    move no bit.
     """
     cols = np.asarray(columns, dtype=complex)
     n = cols.shape[1]
@@ -222,7 +225,7 @@ def _columns_distribution(
         amps *= cols.take(rows[k], 0).take(perms[k], 1)
     raw = np.empty(s.shape[:-2] + factors.shape, dtype=complex)
     points, grams = raw.reshape(-1, len(factors)), s.reshape(-1, n, n)
-    step = max(1, _BLOCK_BYTES // (16 * perms.shape[1] ** 2))
+    step = max(1, _BLOCK_BYTES // (16 * perms.shape[1] * max(perms.shape[1], len(factors))))
     for start in range(0, len(grams), step):
         block = grams[start : start + step]
         # sprod[p, a, b] = prod_k S[p, perm_a(k), perm_b(k)].

@@ -7,9 +7,14 @@ independent path.  The oracle in turn takes only the network type and the
 engine's entry point from ``interference``, so it shares no sum or
 occupation table with the engine it checks.  The package namespace binds no
 reference name either: reference code is imported from its module.
+jsonschema, the reference of the package's config checker, is a test
+dependency only: loading a configuration imports none of it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +67,18 @@ def test_package_namespace_binds_no_reference_name():
     reference |= {"enumerate_terms", "EmissionTerm"}
     bound = sorted(reference & set(vars(triphoton)))
     assert not bound, f"the package namespace binds reference names: {bound}"
+
+
+def test_loading_a_config_imports_no_jsonschema():
+    config = Path(__file__).resolve().parent / "corpus" / "ideal-dynamic-triad.json"
+    script = (
+        "import sys\n"
+        "from triphoton.cli import load_config\n"
+        f"load_config({str(config)!r})\n"
+        "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

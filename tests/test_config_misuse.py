@@ -12,14 +12,16 @@ import cmath
 import copy
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triphoton.cli import CONFIG_SCHEMA, run
+from triphoton.cli import CONFIG_SCHEMA, _errors, run
 
 
 def _tritter(phases):
@@ -235,3 +237,120 @@ test_mutated_ideal_delay_scan = _misuse_property(BASES["ideal-scan delay"])
 test_mutated_qubit_analysis = _misuse_property(BASES["qubit-analysis"])
 test_mutated_validate = _misuse_property(BASES["validate"])
 test_mutated_experiment = _misuse_property(BASES["experiment"])
+
+
+# The reference checker: the draft's validator with a config's integer rule.
+_Reference = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)
+
+
+def _reference_errors(config):
+    return sorted((e.json_path, e.message) for e in _Reference(CONFIG_SCHEMA).iter_errors(config))
+
+
+def _agreement_property(base):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(mutated_configs(base))
+    def check(config):
+        assert sorted(_errors(config, CONFIG_SCHEMA)) == _reference_errors(config)
+
+    return check
+
+
+test_checker_agrees_on_ideal_triad_scan = _agreement_property(BASES["ideal-scan triad"])
+test_checker_agrees_on_ideal_delay_scan = _agreement_property(BASES["ideal-scan delay"])
+test_checker_agrees_on_qubit_analysis = _agreement_property(BASES["qubit-analysis"])
+test_checker_agrees_on_validate = _agreement_property(BASES["validate"])
+test_checker_agrees_on_experiment = _agreement_property(BASES["experiment"])
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        # A bool is not a number, and an integral float is not a count.
+        (
+            {"mode": "experiment", "source": {"purity": True}},
+            [("$.source.purity", "True is not of type 'number'")],
+        ),
+        (
+            {"mode": "validate", "validation": {"instances": 2.0}},
+            [("$.validation.instances", "2.0 is not of type 'integer'")],
+        ),
+        # A configuration that is not an object.
+        ([], [("$", "[] is not of type 'object'")]),
+        (None, [("$", "None is not of type 'object'")]),
+        # Unknown keys are listed in sorted order, whatever order they came in.
+        (
+            {"mode": "ideal-scan", "grid": {"zeta": 1, "alpha": 2}},
+            [("$.grid", "Additional properties are not allowed ('alpha', 'zeta' were unexpected)")],
+        ),
+        # Explicit values or a complete range, never both.
+        (
+            {"mode": "ideal-scan", "grid": {"values": [0.0], "start": 0.0}},
+            [
+                ("$.grid", "'points' is a dependency of 'start'"),
+                ("$.grid", "'stop' is a dependency of 'start'"),
+                ("$.grid.start", "0.0 should not be valid under {}"),
+            ],
+        ),
+        # Qubit analysis reads the qubit block.
+        ({"mode": "qubit-analysis"}, [("$", "'qubit' is a required property")]),
+        # Lists below and above their length bounds.
+        (
+            {"mode": "ideal-scan", "grid": {"values": []}},
+            [("$.grid.values", "[] should be non-empty")],
+        ),
+        (
+            {"mode": "experiment", "cascade": {"splitters": ["none"] * 4}},
+            [("$.cascade.splitters", "['none', 'none', 'none', 'none'] is too long")],
+        ),
+    ],
+)
+def test_checker_hand_cases(config, expected):
+    assert sorted(_errors(config, CONFIG_SCHEMA)) == expected
+    assert _reference_errors(config) == expected
+
+
+# The keywords ``cli._errors`` implements: those whose value is a subschema,
+# those whose value maps names to subschemas, and the rest.
+SUBSCHEMA_KEYWORDS = {"items", "not", "if", "then"}
+SCHEMA_MAP_KEYWORDS = {"properties", "dependentSchemas"}
+VALUE_KEYWORDS = set(
+    "type enum const pattern minimum exclusiveMinimum maximum exclusiveMaximum minItems"
+    " maxItems additionalProperties required dependentRequired".split()
+)
+
+
+def _unchecked(schema, where="$schema"):
+    """Where ``schema`` or a schema inside it uses a keyword, or a form, the checker lacks."""
+    unknown = set(schema) - SUBSCHEMA_KEYWORDS - SCHEMA_MAP_KEYWORDS - VALUE_KEYWORDS
+    if unknown:
+        yield f"{where} uses {sorted(unknown)}"
+    if schema.get("type", "object") not in ("object", "array", "string", "number", "integer"):
+        yield f"{where} has type {schema['type']!r}"
+    if schema.get("additionalProperties", False) is not False:
+        yield f"{where} admits additional properties by a schema"
+    if not all(isinstance(v, str) for v in schema.get("enum", []) + [schema.get("const", "")]):
+        yield f"{where} compares with a value that is not a string"
+    for name in schema.get("properties", {}):
+        if not re.fullmatch("[a-zA-Z][a-zA-Z0-9_]*", name):
+            yield f"{where} names {name!r}, which a JSON path quotes"
+    for keyword in sorted(SUBSCHEMA_KEYWORDS & set(schema)):
+        yield from _unchecked(schema[keyword], f"{where}.{keyword}")
+    for keyword in sorted(SCHEMA_MAP_KEYWORDS & set(schema)):
+        for name, sub in schema[keyword].items():
+            yield from _unchecked(sub, f"{where}.{keyword}.{name}")
+
+
+def test_schema_uses_only_what_the_checker_implements():
+    # Anything else would be ignored without notice.
+    assert list(_unchecked(CONFIG_SCHEMA)) == []
+
+
+def test_unchecked_keyword_is_found():
+    schema = {"properties": {"grid": {"items": {"uniqueItems": True}}}}
+    assert list(_unchecked(schema)) == ["$schema.properties.grid.items uses ['uniqueItems']"]
