@@ -7,11 +7,11 @@ heralded-source model with threshold-detector cascades, and an independent
 brute-force Fock-space oracle.  One builder, ``modes.gram_stack``, makes and
 validates the Gram matrices, and one permutation-sum engine,
 ``interference._columns_distribution``, gives every event probability.
-Ideal scans and the noisy simulation alike build the ``(P, 3, 3)`` stack of
-all their points from arrays, validate it once and hand it to one point
-model, ``experiment._idler_distribution``, which calls the engine along the
-stack's leading point axis.  The closed forms,
-the mixed-state trace formulas and the oracle check the engine; the oracle sees
+Ideal scans and the noisy simulation alike take a grid's points as arrays
+(``experiment.scan_points``), build and validate their ``(P, 3, 3)`` Gram stack
+once and hand it to one point model, ``experiment._idler_distribution``, which
+calls the engine along the stack's leading point axis.  The closed forms, the
+mixed-state trace formulas and the oracle check the engine; the oracle sees
 polarisation dependence as an explicit 2m-mode network.  ``mixedstate``,
 ``oracle`` and ``source.enumerate_terms`` are reference code, imported from
 their modules: the package loads the two modules but binds none of the names
@@ -19,7 +19,7 @@ they define.  ``modes``, ``interference``, ``source`` and ``experiment`` never
 import them, and ``cli`` calls the oracle only for ``validate``.
 
 Every probability depends on the Gram matrix only through its moduli and the
-triad phase, so neither the internal states nor the preparations take a
+triad phase, so neither the internal states nor a grid's points take a
 parameter that only re-phases the photons, such as a carrier frequency.  The
 one temporal family is the delayed Gaussian: a recipe, the temporal width
 and the scanned delay or collective phase fix each point.
@@ -44,6 +44,7 @@ from .experiment import (
     phase_for_theta,
     prepare,
     scan_delays,
+    scan_points,
     scan_triad,
     simulate_counts,
     theta_for_phase,

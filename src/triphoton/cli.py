@@ -42,7 +42,7 @@ from .experiment import (
     _ideal_scan,
     default_delay_grid,
     default_phase_grid,
-    scan_preparations,
+    scan_points,
     simulate_counts,
 )
 from .interference import DEFAULT_MAX_PHOTONS, Network
@@ -259,18 +259,18 @@ def _errors(value, schema: dict, path: str = "$"):
                 yield from _errors(value, sub, path)
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
+def _number(text: str) -> float | int:
+    value = float(text)  # any number of digits, where int() takes at most 4300
     if not math.isfinite(value):
-        raise ConfigError(f"non-finite number {text} in config")
-    return value
+        raise ConfigError(f"number {text[:40]}{'...' * (len(text) > 40)} has no finite float")
+    return int(text) if text.lstrip("-").isdigit() else value
 
 
 def load_config(path: str | Path) -> dict:
-    """Read and schema-validate a configuration file; non-finite numbers are rejected."""
+    """Read and schema-validate a configuration file; numbers with no finite float are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+            raw = json.load(fh, parse_float=_number, parse_int=_number, parse_constant=_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -335,7 +335,8 @@ def _grid_values(grid: dict, sigma: float) -> np.ndarray:
     if "values" in grid:
         return np.asarray(grid["values"], dtype=float)
     if "points" in grid:
-        return np.linspace(grid["start"], grid["stop"], grid["points"])
+        # Python ints beyond int64 would make an object array.
+        return np.linspace(float(grid["start"]), float(grid["stop"]), grid["points"])
     if grid["kind"] == "delay":
         return default_delay_grid(sigma)
     return default_phase_grid()
@@ -379,16 +380,15 @@ def _write_metadata(path: Path, resolved: dict, extra: dict) -> None:
 
 
 def _run_scan(resolved: dict) -> ScanResult:
-    """The ideal or noisy model on the preparations of the configured grid."""
-    prep = resolved["preparation"]
-    grid = resolved["grid"]
+    """The ideal or noisy model on the points of the configured grid."""
+    prep, grid = resolved["preparation"], resolved["grid"]
     values = _grid_values(grid, prep["sigma"])
     try:
-        preps, x_name = scan_preparations(grid["kind"], prep["recipe"], values, prep["sigma"])
+        points = scan_points(grid["kind"], prep["recipe"], values, prep["sigma"])
     except DomainError as exc:
         raise ConfigError(f"$.grid.kind: {exc}") from exc
     if resolved["mode"] == "ideal-scan":
-        return _ideal_scan(preps, x_name, values)
+        return _ideal_scan(points)
     source = SourceParams(**resolved["source"])
     cascade = DetectionCascade(
         tuple(resolved["cascade"]["splitters"]), resolved["cascade"]["detector_efficiency"]
@@ -400,7 +400,7 @@ def _run_scan(resolved: dict) -> ScanResult:
         except DomainError as exc:
             raise ConfigError(f"$.tritter.{key}: {exc}") from exc
     net_h, net_v = networks.get("h"), networks.get("v")
-    return simulate_counts(preps, source, cascade, net_h, net_v, x_values=values, x_name=x_name)
+    return simulate_counts(points, source, cascade, net_h, net_v)
 
 
 def _validate(instances: int, seed: int) -> tuple[dict, int]:

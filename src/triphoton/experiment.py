@@ -6,14 +6,16 @@ resolution, and the full noisy simulation that folds in higher-order pair
 emission, noise photons, impurity and detection efficiency.
 
 ``GRID_RECIPES`` pairs scan grids with recipes; the configuration schema
-reads it, and :func:`scan_preparations`, the one path from a grid to its
-preparations, enforces it.  A preparation has no carrier frequency: a common
-carrier only re-phases the Gram matrix.
+reads it, and :func:`scan_points`, the one path from a grid to the arrays
+of its points, enforces it.  No run builds a :class:`Preparation` or an
+``InternalState``: they are the per-point reference of those arrays.  A point
+has no carrier frequency: a common carrier only re-phases the Gram matrix.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -63,7 +65,7 @@ SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class Preparation:
-    """A three-photon input setting: recipe, delays and mode parameters."""
+    """A three-photon input setting: recipe, delays and mode parameters; no run builds one."""
 
     recipe: str
     delays: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -81,13 +83,13 @@ class Preparation:
             raise DomainError(f"the {self.recipe} recipe reads no rotation angle theta")
 
 
-def _polarizations(prep: Preparation) -> list[tuple[complex, complex]]:
-    """The (H, V) amplitudes of the three photons of ``prep``'s recipe (see :func:`prepare`)."""
-    if prep.recipe == "all_H":
+def _polarizations(recipe: str, theta: float | None) -> list[tuple[complex, complex]]:
+    """The (H, V) amplitudes of the three photons of ``recipe`` (see :func:`prepare`)."""
+    if recipe == "all_H":
         return [(1.0, 0.0)] * 3
-    if prep.recipe == "static_pi":
+    if recipe == "static_pi":
         return [(1.0, 0.0), (0.5, 0.5 * SQRT3), (0.5, -0.5 * SQRT3)]
-    two_theta = 2.0 * float(prep.theta)
+    two_theta = 2.0 * float(theta)
     return [
         (math.cos(two_theta), 1j * math.sin(two_theta)),
         (0.5 * SQRT3, 0.5),
@@ -103,11 +105,11 @@ def prepare(prep: Preparation) -> list[InternalState]:
     (collective phase pi).
     dynamic: photon 1 at cos(2 theta)|H> + i sin(2 theta)|V>, photons 2 and 3
     at (sqrt(3)|H> +- |V>)/2; the collective phase follows
-    2*Arg(sqrt(3) cos 2theta + i sin 2theta).
+    2*Arg(sqrt(3) cos 2theta + i sin 2theta).  No run calls it.
     """
     return [
         InternalState(GaussianTemporalMode(t, prep.sigma), PolarizationState(h, v))
-        for t, (h, v) in zip(prep.delays, _polarizations(prep))
+        for t, (h, v) in zip(prep.delays, _polarizations(prep.recipe, prep.theta))
     ]
 
 
@@ -132,7 +134,7 @@ def theta_for_phase(phi: float) -> float:
 
 
 def delay_scan_preparations(recipe: str, tau_values, sigma: float) -> list[Preparation]:
-    """Symmetric delay scan: t1 = -tau/2, t2 = 0, t3 = +tau/2."""
+    """Symmetric delay scan: t1 = -tau/2, t2 = 0, t3 = +tau/2.  No run builds it."""
     return [
         Preparation(recipe, delays=(-0.5 * float(tau), 0.0, 0.5 * float(tau)), sigma=sigma)
         for tau in tau_values
@@ -140,7 +142,7 @@ def delay_scan_preparations(recipe: str, tau_values, sigma: float) -> list[Prepa
 
 
 def triad_scan_preparations(theta_values, sigma: float) -> list[Preparation]:
-    """Dynamic-recipe scan with the delay condition applied at every angle."""
+    """Dynamic-recipe scan with the delay condition at every angle.  No run builds it."""
     return [
         Preparation(
             "dynamic",
@@ -152,21 +154,33 @@ def triad_scan_preparations(theta_values, sigma: float) -> list[Preparation]:
     ]
 
 
-def scan_preparations(
-    kind: str, recipe: str, values, sigma: float
-) -> tuple[list[Preparation], str]:
-    """The preparations of a ``delay`` or ``triad`` grid, and the name of its x axis.
+# A grid's x axis name and values, and its points as ``gram_stack`` takes them:
+# ``(P, 3)`` delays and widths, and ``(P, 3, 2)`` (H, V) polarisation amplitudes.
+ScanPoints = namedtuple("ScanPoints", "x_name x_values delays sigmas polarizations")
+
+
+def scan_points(kind: str, recipe: str, values, sigma: float) -> ScanPoints:
+    """The points of a ``delay`` or ``triad`` grid, read once from ``values``.
 
     A grid scans only its ``GRID_RECIPES``.  Delay grids hold symmetric delays
     ``tau``; triad grids hold collective phases ``phi``, each realised at the
-    rotation angle :func:`theta_for_phase` gives.
+    rotation angle :func:`theta_for_phase` gives.  Per-point scalars go through
+    ``math`` on Python floats (``np.exp`` and ``np.log`` may round differently),
+    so each point equals its ``*_scan_preparations`` reference bit for bit.
     """
     if recipe not in GRID_RECIPES.get(kind, ()):
         scanned = " or ".join(GRID_RECIPES.get(kind, ())) or "no recipe"
         raise DomainError(f"a {kind} grid scans {scanned}, not {recipe!r}")
+    xs = np.fromiter(values, dtype=float)
+    sigmas = np.full((len(xs), 3), float(sigma))
     if kind == "delay":
-        return delay_scan_preparations(recipe, values, sigma), "tau"
-    return triad_scan_preparations([theta_for_phase(float(v)) for v in values], sigma), "phi"
+        delays = np.stack([-0.5 * xs, np.zeros_like(xs), 0.5 * xs], axis=1)
+        table = np.array(_polarizations(recipe, None), dtype=complex)
+        return ScanPoints("tau", xs, delays, sigmas, np.broadcast_to(table, (len(xs), 3, 2)))
+    thetas = [theta_for_phase(phi) for phi in xs.tolist()]
+    delays = np.array([(delay_condition(t, sigma), 0.0, 0.0) for t in thetas]).reshape(-1, 3)
+    pol = np.array([_polarizations(recipe, t) for t in thetas], dtype=complex).reshape(-1, 3, 2)
+    return ScanPoints("phi", xs, delays, sigmas, pol)
 
 
 def default_delay_grid(sigma: float) -> np.ndarray:
@@ -193,8 +207,8 @@ class ScanResult:
             raise DomainError(f"every series needs one value per x value ({len(self.x_values)})")
 
 
-def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
-    """Balanced-tritter events of pure photons, one per input, at every preparation.
+def _ideal_scan(points: ScanPoints) -> ScanResult:
+    """Balanced-tritter events of pure photons, one per input, at every point.
 
     The point model of :func:`simulate_counts` with common-mode weight 1,
     on the same one-block Gram stack (:func:`_point_blocks`): the
@@ -203,24 +217,22 @@ def _ideal_scan(preps: list[Preparation], x_name: str, x_values) -> ScanResult:
     those outputs.  That is one engine call for the three-photon events and
     one per pair, whatever the number of points.
     """
-    xs = np.asarray(list(x_values), dtype=float)
     net = balanced_tritter()
     column = {name: row for row, name in enumerate(IDEAL_EVENT_ORDER)}
     triples = [column["P" + "".join(map(str, occ))] for occ in _occupations(3, 3)]
     pair_index = occupation_index(2, 3)
-    ((columns, grams),) = _point_blocks(preps, net, net)
-    values = np.empty((len(IDEAL_EVENT_ORDER), len(preps)))
+    ((columns, grams),) = _point_blocks(points, net, net)
+    values = np.empty((len(IDEAL_EVENT_ORDER), len(grams)))
     values[triples] = _idler_distribution(columns, grams, 1.0, (1, 1, 1)).T
     for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
         row = column["P" + "".join(map(str, pairs))]
         values[row] = _idler_distribution(columns, grams, 1.0, pairs)[:, pair_index[pairs]]
-    return ScanResult(x_name=x_name, x_values=xs, series=dict(zip(IDEAL_EVENT_ORDER, values)))
+    return ScanResult(points.x_name, points.x_values, dict(zip(IDEAL_EVENT_ORDER, values)))
 
 
 def scan_delays(recipe: str, tau_values, sigma: float) -> ScanResult:
     """Ideal-model event probabilities along a symmetric delay scan."""
-    taus = np.asarray(list(tau_values), dtype=float)
-    return _ideal_scan(*scan_preparations("delay", recipe, taus, sigma), taus)
+    return _ideal_scan(scan_points("delay", recipe, tau_values, sigma))
 
 
 def scan_triad(phi_values, sigma: float) -> ScanResult:
@@ -231,8 +243,7 @@ def scan_triad(phi_values, sigma: float) -> ScanResult:
     condition keeps all three overlap moduli at 1/2, so the coincidence
     follows (5/4 + cos(phi)/2)/9 while the two-photon marginals stay at 7/36.
     """
-    phis = np.asarray(list(phi_values), dtype=float)
-    return _ideal_scan(*scan_preparations("triad", "dynamic", phis, sigma), phis)
+    return _ideal_scan(scan_points("triad", "dynamic", phi_values, sigma))
 
 
 SPLITTER_LEAVES = {"none": 1, "beamsplitter_2way": 2, "tritter_3way": 3}
@@ -371,21 +382,18 @@ def _idler_distribution(
 
 
 def _point_blocks(
-    preparations: list[Preparation], net_h: Network, net_v: Network
+    points: ScanPoints, net_h: Network, net_v: Network
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ``(columns, grams)`` blocks of :func:`_idler_distribution` covering the points in order.
 
-    One :func:`~triphoton.modes.gram_stack` call, with no internal state,
+    One :func:`~triphoton.modes.gram_stack` call on the points' arrays
     gives every point's Gram matrix.  Unless any entry of ``net_h.matrix``
     and ``net_v.matrix`` differs, one block holds them all.  Otherwise each
     point is a block: its H-over-V columns weighted by its polarisation
     amplitudes, and its temporal overlaps; stacking points with their own
     columns would only multiply the amplitude tables.
     """
-    # (P, 3) and (P, 3, 2) arrays, also when there is no preparation.
-    delays = np.array([p.delays for p in preparations], dtype=float).reshape(-1, 3)
-    sigmas = np.array([(p.sigma,) * 3 for p in preparations], dtype=float).reshape(-1, 3)
-    pol = np.array([_polarizations(p) for p in preparations], dtype=complex).reshape(-1, 3, 2)
+    delays, sigmas, pol = points.delays, points.sigmas, points.polarizations
     if np.array_equal(net_h.matrix, net_v.matrix):
         return [(net_h.matrix, gram_stack(delays, sigmas, pol))]
     temporal = gram_stack(delays, sigmas, np.broadcast_to([1.0, 0.0], pol.shape))
@@ -396,16 +404,13 @@ def _point_blocks(
 
 
 def simulate_counts(
-    preparations: list[Preparation],
+    points: ScanPoints,
     source: SourceParams,
     cascade: DetectionCascade = DetectionCascade(),
     network: Network | None = None,
     network_v: Network | None = None,
-    *,
-    x_values=None,
-    x_name: str = "index",
 ) -> ScanResult:
-    """Heralded click-pattern probabilities of the full experiment model.
+    """Heralded click-pattern probabilities of the full experiment model at every point.
 
     The model is a chain of linear maps on occupation distributions over the
     three outputs.  The source's heralded weights come in closed form from
@@ -423,7 +428,7 @@ def simulate_counts(
     (configuration, branch) is one engine call per run.  The click
     patterns are the sum of the maps' matrix products.  The mixed-state
     trace formulas are the reference the tests check the engine against.
-    Series are probabilities per triple-heralded trial.
+    Series are probabilities per triple-heralded trial, along the points' x axis.
 
     Every point's click patterns must sum to 1 within 1e-12 and stay above
     -1e-12, else :class:`NumericalInconsistency` is raised; they are then
@@ -446,9 +451,9 @@ def simulate_counts(
     names = ["N" + "".join(str(c) for c in pattern) for pattern in cascade.patterns()]
     maps = _click_maps(heralded, cascade, net_h, net_v)
     p_common = _mixing_weight(source.purity)
-    counts = np.zeros((len(names), len(preparations)))
+    counts = np.zeros((len(names), len(points.delays)))
     start = 0
-    for columns, grams in _point_blocks(preparations, net_h, net_v):
+    for columns, grams in _point_blocks(points, net_h, net_v):
         block = counts[:, start : start + len(grams)]
         for pairs, m in maps.items():
             block += m @ _idler_distribution(columns, grams, p_common, pairs).T
@@ -459,12 +464,6 @@ def simulate_counts(
     if not (lowest >= -1e-12 and worst_total <= 1e-12):
         raise NumericalInconsistency(f"click sums off 1 by {worst_total:.3e}, min {lowest:.3e}")
     series = dict(zip(names, np.clip(counts, 0.0, 1.0)))
-
-    xs = (
-        np.asarray(list(x_values), dtype=float)
-        if x_values is not None
-        else np.arange(len(preparations), dtype=float)
-    )
     metadata = {"truncation_deficit": truncation_deficit(source), "herald_probability": herald_norm}
     metadata.update(click_sum_max_deviation=worst_total, click_most_negative=lowest)
-    return ScanResult(x_name=x_name, x_values=xs, series=series, metadata=metadata)
+    return ScanResult(points.x_name, points.x_values, series, metadata)

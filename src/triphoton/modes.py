@@ -198,7 +198,7 @@ def gram_stack(delays, sigmas, polarizations) -> np.ndarray:
 
 
 def gram_matrix(states: list[InternalState]) -> GramMatrix:
-    """Gram matrix of pairwise overlaps of ``states``: the one-point :func:`gram_stack`."""
+    """The one-point :func:`gram_stack` of the pairwise overlaps of ``states``; no run calls it."""
     if len(states) < 1:
         raise DomainError("need at least one state")
     m = _overlap_stack(

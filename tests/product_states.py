@@ -1,7 +1,8 @@
-"""Random delay x polarisation product states for the tests."""
+"""Random delay x polarisation product states, and the points of preparations, for the tests."""
 
 import numpy as np
 
+from triphoton.experiment import ScanPoints, prepare
 from triphoton.modes import GaussianTemporalMode, InternalState, PolarizationState, overlap
 
 
@@ -34,3 +35,22 @@ def pairwise_gram(states: list[InternalState]) -> np.ndarray:
             m[j, k] = overlap(states[j], states[k])
             m[k, j] = np.conj(m[j, k])
     return m
+
+
+def points_of(preparations) -> ScanPoints:
+    """The arrays of ``preparations``' internal states, on an x axis ``index`` 0, 1, ...
+
+    The per-point reference of :func:`triphoton.experiment.scan_points`, and a
+    way to stack points of several recipes in one ``simulate_counts`` call.
+    """
+    states = [prepare(p) for p in preparations]
+    delays = np.array([[s.temporal.delay for s in p] for p in states], dtype=float)
+    sigmas = np.array([[s.temporal.sigma for s in p] for p in states], dtype=float)
+    pol = [[(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in p] for p in states]
+    return ScanPoints(
+        "index",
+        np.arange(len(states), dtype=float),
+        delays.reshape(-1, 3),
+        sigmas.reshape(-1, 3),
+        np.array(pol, dtype=complex).reshape(-1, 3, 2),
+    )

@@ -12,8 +12,8 @@ import pytest
 from spectra import normalised, phase_spread
 from triphoton.experiment import (
     DetectionCascade,
-    delay_scan_preparations,
     scan_delays,
+    scan_points,
     scan_triad,
     simulate_counts,
 )
@@ -234,14 +234,10 @@ def test_criterion_8_noisy_model_visibility():
     deficit = truncation_deficit(source)
     assert deficit < 1e-3
 
-    taus = [0.0, 24.0]
-    preps = delay_scan_preparations("all_H", taus, 1.0)
     res = simulate_counts(
-        preps,
+        scan_points("delay", "all_H", [0.0, 24.0], 1.0),
         source,
         DetectionCascade(("beamsplitter_2way", "none", "beamsplitter_2way"), 0.5),
-        x_values=taus,
-        x_name="tau",
     )
     n210 = res.series["N210"]
     visibility = 1.0 - n210[0] / n210[1]

@@ -157,9 +157,17 @@ def mutated_configs(draw, base):
     return config
 
 
+def _with_literal(base, path, literal: str) -> str:
+    """``base`` as JSON text with the number at ``path`` written as ``literal``."""
+    config = copy.deepcopy(base)
+    _get(config, path[:-1])[path[-1]] = 12345.0
+    return json.dumps(config).replace("12345.0", literal)
+
+
 def _exit_code(config, tmp: Path) -> int:
+    """Run ``config``, or the JSON text it is if a string, in ``tmp``."""
     path = tmp / "cfg.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
     return run(str(path), out_dir=str(tmp / "out"))
 
 
@@ -223,13 +231,43 @@ def test_bases_run(tmp_path):
             ),
             3,
         ),
+        # An integer beyond int64 is still a float: the range is one of floats.
+        pytest.param(
+            dict(
+                BASES["ideal-scan triad"],
+                grid={"kind": "triad", "start": -(10**19), "stop": 1.0, "points": 3},
+            ),
+            0,
+            id="start-beyond-int64",
+        ),
+        # Integers with no finite float, like 1e400: 401 digits, and more
+        # than the 4300 that int() reads.
+        pytest.param(
+            _with_literal(BASES["ideal-scan triad"], ("preparation", "sigma"), "1" * 401),
+            2,
+            id="sigma-401-digits",
+        ),
+        pytest.param(
+            _with_literal(BASES["ideal-scan triad"], ("preparation", "sigma"), "1" * 5001),
+            2,
+            id="sigma-5001-digits",
+        ),
+        pytest.param(
+            _with_literal(BASES["validate"], ("validation", "seed"), "1" * 401),
+            2,
+            id="seed-401-digits",
+        ),
     ],
 )
-def test_extreme_inputs(config, code, tmp_path):
+def test_extreme_inputs(config, code, tmp_path, capsys):
     assert _exit_code(config, tmp_path) == code
-    if code == 0:
+    if code == 2 and isinstance(config, str):
+        assert "has no finite float" in capsys.readouterr().err
+    if code == 0 and config["mode"] == "qubit-analysis":
         report = json.loads((tmp_path / "out" / "run_qubit.json").read_text(encoding="utf-8"))
         assert report["feasible"] is False
+    elif code == 0:
+        assert (tmp_path / "out" / f"{config['output']}_series.csv").exists()
 
 
 test_mutated_ideal_triad_scan = _misuse_property(BASES["ideal-scan triad"])

@@ -18,7 +18,7 @@ from triphoton.experiment import (
     phase_for_theta,
     prepare,
     scan_delays,
-    scan_preparations,
+    scan_points,
     scan_triad,
     simulate_counts,
     theta_for_phase,
@@ -27,7 +27,7 @@ from triphoton.experiment import (
     _idler_distribution,
     _point_blocks,
 )
-from triphoton import interference, modes
+from triphoton import cli, interference, modes
 from triphoton.interference import (
     Network,
     balanced_tritter,
@@ -36,7 +36,7 @@ from triphoton.interference import (
     output_occupations,
 )
 from triphoton.mixedstate import build_densities, mixed_event_distribution
-from triphoton.modes import GramMatrix, gram_matrix, triad_phase
+from triphoton.modes import GramMatrix, circular_distance, gram_matrix, gram_stack, triad_phase
 from triphoton.oracle import random_unitary
 from triphoton.source import (
     SourceParams,
@@ -45,7 +45,7 @@ from triphoton.source import (
     heralded_ensemble,
 )
 
-from product_states import pairwise_gram
+from product_states import pairwise_gram, points_of
 from test_source import heralded_vectors
 
 # Detection cascades: no splitter, two-way splitters on the first and third
@@ -68,7 +68,7 @@ IDEAL_SOURCE = SourceParams(
 
 def point_idlers(prep, p_common, net_h, net_v, pairs):
     """The pair idlers' distribution at the one point of ``prep``."""
-    ((columns, grams),) = _point_blocks([prep], net_h, net_v)
+    ((columns, grams),) = _point_blocks(points_of([prep]), net_h, net_v)
     return _idler_distribution(columns, grams, p_common, pairs)[0]
 
 
@@ -202,11 +202,11 @@ class TestIdealScans:
         if recipe == "dynamic":
             values = rng.uniform(0.0, 2 * math.pi, 9)
             res = scan_triad(values, sigma)
-            preps, _ = scan_preparations("triad", recipe, values, sigma)
+            preps = triad_scan_preparations([theta_for_phase(v) for v in values], sigma)
         else:
             values = rng.uniform(-8.0, 8.0, 9) * sigma
             res = scan_delays(recipe, values, sigma)
-            preps, _ = scan_preparations("delay", recipe, values, sigma)
+            preps = delay_scan_preparations(recipe, values, sigma)
         net = balanced_tritter()
         name = lambda occ: "P" + "".join(map(str, occ))
         pair_index = occupation_index(2, 3)
@@ -227,40 +227,54 @@ class TestIdealScans:
             assert res.x_values.shape == (0,)
             assert all(values.shape == (0,) for values in res.series.values())
 
-    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.0])
+    @pytest.mark.parametrize(
+        "sigma",
+        [0.5, 1.0, 1.3, 2.0]
+        + [pytest.param(float(np.random.default_rng(26).uniform(0.1, 10.0)), id="random")],
+    )
     @pytest.mark.parametrize(
         "kind, recipe", [("delay", "all_H"), ("delay", "static_pi"), ("triad", "dynamic")]
     )
     def test_stack_is_every_point_gram(self, kind, recipe, sigma):
-        values = (
-            np.linspace(-12 * sigma, 12 * sigma, 61) if kind == "delay" else default_phase_grid()
-        )
-        preps, _ = scan_preparations(kind, recipe, values, sigma)
-        ((_, stack),) = _point_blocks(preps, balanced_tritter(), balanced_tritter())
-        # Bit for bit, signed zeros included, against the one-point builder
-        # and against scalar overlaps.
-        for expected in (
-            np.array([gram_matrix(prepare(p)).entries for p in preps]),
-            np.array([pairwise_gram(prepare(p)) for p in preps]),
-        ):
-            assert stack.shape == expected.shape
-            assert stack.tobytes() == expected.tobytes()
+        grid = np.linspace(-12 * sigma, 12 * sigma, 61) if kind == "delay" else default_phase_grid()
+        for values in (grid, grid[:0]):
+            if kind == "delay":
+                preps = delay_scan_preparations(recipe, values, sigma)
+            else:
+                preps = triad_scan_preparations([theta_for_phase(v) for v in values], sigma)
+            stack = gram_stack(*scan_points(kind, recipe, values, sigma)[2:])
+            # Bit for bit, signed zeros included, against the one-point builder
+            # and against scalar overlaps.
+            for expected in (
+                np.array([gram_matrix(prepare(p)).entries for p in preps]).reshape(-1, 3, 3),
+                np.array([pairwise_gram(prepare(p)) for p in preps]).reshape(-1, 3, 3),
+            ):
+                assert stack.shape == expected.shape == (len(values), 3, 3)
+                assert stack.tobytes() == expected.tobytes()
 
-    def test_scan_builds_no_internal_state(self, monkeypatch):
+    def test_scan_builds_no_internal_state(self, monkeypatch, tmp_path):
+        # Every run goes from its grid to the engine on arrays: neither the
+        # command line nor a library scan builds a per-point object.
+        from same_numbers import CORPUS
+
         def refuse(*args, **kwargs):
-            raise AssertionError("a scan built a per-point state or Gram matrix")
+            raise AssertionError("a run built a per-point preparation, state or Gram matrix")
 
-        monkeypatch.setattr(experiment, "InternalState", refuse)
-        monkeypatch.setattr(experiment, "prepare", refuse)
+        for name in ("Preparation", "prepare", "InternalState"):
+            monkeypatch.setattr(experiment, name, refuse)
         monkeypatch.setattr(modes, "gram_matrix", refuse)
         assert not hasattr(experiment, "gram_matrix")
+        for config in sorted(CORPUS.glob("*.json")):
+            assert cli.run(str(config), out_dir=str(tmp_path / config.stem)) == 0, config.stem
         assert len(scan_triad(default_phase_grid(), 1.0).x_values) == 33
         assert len(scan_delays("static_pi", [0.0, 1.0], 1.0).x_values) == 2
-        preps, _ = scan_preparations("triad", "dynamic", [0.0, 2.0], 1.0)
-        preps += delay_scan_preparations("static_pi", [1.3], 1.0)
         for net_v in (None, perturbed_tritter()):
-            counts = simulate_counts(preps, SourceParams(), DetectionCascade(), None, net_v)
-            assert len(counts.x_values) == 3
+            for points in (
+                scan_points("triad", "dynamic", [0.0, 2.0], 1.0),
+                scan_points("delay", "static_pi", [1.3], 1.0),
+            ):
+                counts = simulate_counts(points, SourceParams(), DetectionCascade(), None, net_v)
+                assert counts.x_values.tolist() == points.x_values.tolist()
 
     def test_values_are_read_once(self):
         # A generator is used up by the first pass over it.
@@ -271,25 +285,55 @@ class TestIdealScans:
         assert res.series["P111"].tolist() == scan_triad(phis, 1.0).series["P111"].tolist()
 
     def test_one_bad_point_fails_the_scan(self):
-        preps, _ = scan_preparations("delay", "all_H", [0.0, 1.0, 2.0], 1.0)
-        preps[1] = Preparation("all_H", delays=(0.0, 0.0, 0.0), sigma=-1.0)
+        points = scan_points("delay", "all_H", [0.0, 1.0, 2.0], 1.0)
+        points.sigmas[1] = -1.0
         with pytest.raises(DomainError, match="sigma must be positive"):
-            _point_blocks(preps, balanced_tritter(), balanced_tritter())
+            _point_blocks(points, balanced_tritter(), balanced_tritter())
+
+
+def assert_same_points(points, reference):
+    """Every array of ``points`` equals the reference's bit for bit, signed zeros included."""
+    for name in ("delays", "sigmas", "polarizations"):
+        actual, expected = getattr(points, name), getattr(reference, name)
+        assert actual.shape == expected.shape and actual.dtype == expected.dtype, name
+        assert actual.tobytes() == expected.tobytes(), name
 
 
 class TestScanPreparations:
+    """A grid's points from :func:`scan_points` against its per-point preparations."""
+
     def test_delay_grid(self):
-        preps, x_name = scan_preparations("delay", "static_pi", [-1.0, 2.0], 1.3)
-        assert x_name == "tau"
-        assert preps == delay_scan_preparations("static_pi", [-1.0, 2.0], 1.3)
+        points = scan_points("delay", "static_pi", [-1.0, 2.0, 0.0], 1.3)
+        assert points.x_name == "tau"
+        assert points.x_values.tolist() == [-1.0, 2.0, 0.0]
+        reference = delay_scan_preparations("static_pi", [-1.0, 2.0, 0.0], 1.3)
+        assert_same_points(points, points_of(reference))
 
     def test_triad_grid_realises_each_phase(self):
         phis = [0.0, 2.0, 5.5]
-        preps, x_name = scan_preparations("triad", "dynamic", phis, 0.7)
-        assert x_name == "phi"
-        assert preps == triad_scan_preparations([theta_for_phase(p) for p in phis], 0.7)
-        for phi, prep in zip(phis, preps):
+        points = scan_points("triad", "dynamic", phis, 0.7)
+        assert points.x_name == "phi"
+        assert points.x_values.tolist() == phis
+        reference = triad_scan_preparations([theta_for_phase(p) for p in phis], 0.7)
+        assert_same_points(points, points_of(reference))
+        for phi, prep, g in zip(phis, reference, gram_stack(*points[2:])):
             assert phase_for_theta(prep.theta) == pytest.approx(phi, abs=1e-12)
+            assert circular_distance(triad_phase(g), phi) < 1e-12
+
+    @pytest.mark.parametrize(
+        "kind, recipe", [("delay", "all_H"), ("delay", "static_pi"), ("triad", "dynamic")]
+    )
+    def test_random_grid_is_its_preparations(self, kind, recipe):
+        rng = np.random.default_rng(262)
+        sigma = float(rng.uniform(0.1, 10.0))
+        values = rng.uniform(-20.0, 20.0, 50)
+        points = scan_points(kind, recipe, iter(values.tolist()), sigma)
+        if kind == "delay":
+            reference = delay_scan_preparations(recipe, values, sigma)
+        else:
+            reference = triad_scan_preparations([theta_for_phase(v) for v in values], sigma)
+        assert points.x_values.tolist() == values.tolist()
+        assert_same_points(points, points_of(reference))
 
     @pytest.mark.parametrize(
         "kind, recipe",
@@ -297,7 +341,7 @@ class TestScanPreparations:
     )
     def test_unscanned_pairing_rejected(self, kind, recipe):
         with pytest.raises(DomainError, match=f"a {kind} grid scans"):
-            scan_preparations(kind, recipe, [0.0], 1.0)
+            scan_points(kind, recipe, [0.0], 1.0)
 
 
 class TestCascade:
@@ -352,9 +396,8 @@ class TestCascade:
 class TestSimulateCounts:
     def test_ideal_reduction_matches_triad_scan(self):
         phis = np.linspace(0.0, 2 * math.pi, 9)
-        thetas = [theta_for_phase(p) for p in phis]
-        preps = triad_scan_preparations(thetas, 1.0)
-        counts = simulate_counts(preps, IDEAL_SOURCE, PERFECT_DETECTORS, x_values=phis)
+        points = scan_points("triad", "dynamic", phis, 1.0)
+        counts = simulate_counts(points, IDEAL_SOURCE, PERFECT_DETECTORS)
         ideal = scan_triad(phis, 1.0)
         assert np.max(np.abs(counts.series["N111"] - ideal.series["P111"])) < 1e-9
         assert np.max(
@@ -364,23 +407,21 @@ class TestSimulateCounts:
 
     def test_ideal_reduction_matches_delay_scan(self):
         taus = [0.0, 1.5, 4.0]
-        preps = delay_scan_preparations("all_H", taus, 1.0)
-        counts = simulate_counts(preps, IDEAL_SOURCE, PERFECT_DETECTORS, x_values=taus)
+        points = scan_points("delay", "all_H", taus, 1.0)
+        counts = simulate_counts(points, IDEAL_SOURCE, PERFECT_DETECTORS)
         ideal = scan_delays("all_H", taus, 1.0)
         assert np.max(np.abs(counts.series["N111"] - ideal.series["P111"])) < 1e-9
         # Near-coincident photons: both scans read the same exact Gram matrix.
         for recipe in ("all_H", "static_pi"):
-            preps = delay_scan_preparations(recipe, [1e-5], 1.0)
-            counts = simulate_counts(preps, IDEAL_SOURCE, PERFECT_DETECTORS)
+            points = scan_points("delay", recipe, [1e-5], 1.0)
+            counts = simulate_counts(points, IDEAL_SOURCE, PERFECT_DETECTORS)
             ideal = scan_delays(recipe, [1e-5], 1.0)
             assert counts.series["N111"][0] == pytest.approx(ideal.series["P111"][0], abs=1e-13)
 
     def test_click_patterns_normalised_per_point(self):
         taus = [0.0, 3.0]
-        preps = delay_scan_preparations("all_H", taus, 1.0)
-        counts = simulate_counts(
-            preps, SourceParams(), DetectionCascade(BEAMSPLITTERS_1_3, 0.5), x_values=taus
-        )
+        points = scan_points("delay", "all_H", taus, 1.0)
+        counts = simulate_counts(points, SourceParams(), DetectionCascade(BEAMSPLITTERS_1_3, 0.5))
         total = np.zeros(len(taus))
         for series in counts.series.values():
             total += series
@@ -389,27 +430,27 @@ class TestSimulateCounts:
     def test_near_coincident_delays(self):
         # A delay this small truncates the temporal basis rank; the photons
         # must stay unit vectors so that every point still sums to 1.
-        preps = delay_scan_preparations("all_H", [0.0027, 1e-7], 1.07)
+        points = scan_points("delay", "all_H", [0.0027, 1e-7], 1.07)
         for net_v in (None, perturbed_tritter()):
             counts = simulate_counts(
-                preps, SourceParams(), DetectionCascade(TRITTER_1, 0.5), balanced_tritter(), net_v
+                points, SourceParams(), DetectionCascade(TRITTER_1, 0.5), balanced_tritter(), net_v
             )
             total = sum(counts.series.values())
             assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_x_values_of_another_length_rejected(self):
-        preps = delay_scan_preparations("all_H", [0.0, 1.0, 2.0], 1.0)
+        points = scan_points("delay", "all_H", [0.0, 1.0, 2.0], 1.0)
         with pytest.raises(DomainError, match="one value per x value"):
-            simulate_counts(preps, IDEAL_SOURCE, x_values=[0.0, 1.0])
+            simulate_counts(points._replace(x_values=np.zeros(2)), IDEAL_SOURCE)
         with pytest.raises(DomainError, match="one value per x value"):
             ScanResult("tau", np.zeros(2), {"P111": np.zeros(2), "P011": np.zeros(3)})
 
     def test_networks_other_than_three_modes_rejected(self):
-        preps = delay_scan_preparations("all_H", [0.0], 1.0)
+        points = scan_points("delay", "all_H", [0.0], 1.0)
         four = Network(np.eye(4))
         for nets in ((four, None), (None, four), (balanced_tritter(), four)):
             with pytest.raises(DomainError, match="three-mode networks"):
-                simulate_counts(preps, IDEAL_SOURCE, DetectionCascade(), *nets)
+                simulate_counts(points, IDEAL_SOURCE, DetectionCascade(), *nets)
 
     @pytest.mark.parametrize(
         "cascade", [DetectionCascade(BEAMSPLITTERS_1_3), DetectionCascade(TRITTER_1)]
@@ -431,12 +472,12 @@ class TestSimulateCounts:
         preps = triad_scan_preparations([theta_for_phase(0.7), theta_for_phase(3.5)], 1.0)
         preps += delay_scan_preparations("static_pi", [0.0, 1.3], 1.0)
         preps += delay_scan_preparations("all_H", [0.0], 1.0)
-        counts = simulate_counts(preps, source, cascade)
+        counts = simulate_counts(points_of(preps), source, cascade)
         heralded = heralded_ensemble(source)
         net = balanced_tritter()
         maps = shifted(heralded, cascade, net, net)
         p_common = _mixing_weight(source.purity)
-        ((columns, grams),) = _point_blocks(preps, net, net)
+        ((columns, grams),) = _point_blocks(points_of(preps), net, net)
         raw = sum(
             m @ _idler_distribution(columns, grams, p_common, pairs).T for pairs, m in maps.items()
         )
@@ -456,9 +497,9 @@ class TestSimulateCounts:
             return maps
 
         monkeypatch.setattr(experiment, "_click_maps", poisoned)
-        preps = delay_scan_preparations("all_H", [0.0], 1.0)
+        points = scan_points("delay", "all_H", [0.0], 1.0)
         with pytest.raises(NumericalInconsistency, match="click sums"):
-            simulate_counts(preps, SourceParams(), DetectionCascade(TRITTER_1))
+            simulate_counts(points, SourceParams(), DetectionCascade(TRITTER_1))
 
     @pytest.mark.parametrize("budget", [(6, 1), (8, 3)])
     @pytest.mark.parametrize(
@@ -474,8 +515,7 @@ class TestSimulateCounts:
         total, noise = budget
         source = SourceParams(truncation_total_photons=total, truncation_noise_photons=noise)
         phis = default_phase_grid()
-        preps, _ = scan_preparations("triad", "dynamic", phis, 1.0)
-        counts = simulate_counts(preps, source, cascade)
+        counts = simulate_counts(scan_points("triad", "dynamic", phis, 1.0), source, cascade)
         harmonics = np.outer(phis, np.arange(1, (total // 2) // 3 + 1))
         basis = np.column_stack([np.ones_like(phis), np.cos(harmonics), np.sin(harmonics)])
         for name, series in counts.series.items():
@@ -494,9 +534,9 @@ class TestSimulateCounts:
         preps = triad_scan_preparations([theta_for_phase(p) for p in (0.0, 2.0, 4.5)], 1.0)
         preps += delay_scan_preparations("static_pi", [0.0, 1.3], 1.0)
         preps += delay_scan_preparations("all_H", [0.0027], 1.07)
-        run = simulate_counts(preps, source, cascade, None, net_v)
+        run = simulate_counts(points_of(preps), source, cascade, None, net_v)
         for i, prep in enumerate(preps):
-            alone = simulate_counts([prep], source, cascade, None, net_v)
+            alone = simulate_counts(points_of([prep]), source, cascade, None, net_v)
             for name, series in run.series.items():
                 np.testing.assert_allclose(series[i], alone.series[name][0], rtol=0, atol=1e-15)
 
@@ -506,13 +546,13 @@ class TestSimulateCounts:
         # 40 points fall in two blocks, or in 40 with no byte to spare.
         source = SourceParams(purity=0.9, truncation_total_photons=10, truncation_noise_photons=2)
         phis = np.linspace(0.0, 2 * math.pi, 40)
-        preps, _ = scan_preparations("triad", "dynamic", phis, 1.0)
+        points = scan_points("triad", "dynamic", phis, 1.0)
         runs = []
         for block_bytes in (interference._BLOCK_BYTES, 0):
             monkeypatch.setattr(interference, "_BLOCK_BYTES", block_bytes)
             runs.append(
                 [
-                    simulate_counts(preps, source, DetectionCascade(TRITTER_1)).series,
+                    simulate_counts(points, source, DetectionCascade(TRITTER_1)).series,
                     scan_triad(phis, 1.0).series,
                 ]
             )
@@ -523,7 +563,7 @@ class TestSimulateCounts:
 
     def test_truncation_metadata(self):
         counts = simulate_counts(
-            delay_scan_preparations("all_H", [0.0], 1.0),
+            scan_points("delay", "all_H", [0.0], 1.0),
             SourceParams(),
             DetectionCascade(),
         )
@@ -531,8 +571,8 @@ class TestSimulateCounts:
 
     def test_purity_degrades_suppression(self):
         taus = [0.0]
-        preps = delay_scan_preparations("all_H", taus, 1.0)
-        pure = simulate_counts(preps, IDEAL_SOURCE, DetectionCascade(BEAMSPLITTERS_1_3, 1.0))
+        points = scan_points("delay", "all_H", taus, 1.0)
+        pure = simulate_counts(points, IDEAL_SOURCE, DetectionCascade(BEAMSPLITTERS_1_3, 1.0))
         impure_source = SourceParams(
             squeezing=0.16,
             purity=0.8,
@@ -542,7 +582,7 @@ class TestSimulateCounts:
             truncation_noise_photons=0,
             herald_efficiency=1.0,
         )
-        impure = simulate_counts(preps, impure_source, DetectionCascade(BEAMSPLITTERS_1_3, 1.0))
+        impure = simulate_counts(points, impure_source, DetectionCascade(BEAMSPLITTERS_1_3, 1.0))
         assert pure.series["N210"][0] == pytest.approx(0.0, abs=1e-12)
         assert impure.series["N210"][0] > 1e-4
 
@@ -610,7 +650,7 @@ class TestRunLevelMaps:
         net_v = perturbed_tritter() if split else net_h
         preps = triad_scan_preparations([theta_for_phase(0.7), theta_for_phase(3.5)], 1.0)
         preps += delay_scan_preparations("static_pi", [1.3], 1.0)
-        counts = simulate_counts(preps, source, cascade, net_h, net_v)
+        counts = simulate_counts(points_of(preps), source, cascade, net_h, net_v)
         reference = per_term_counts(preps, source, cascade, net_h, net_v)
         for i, expected in enumerate(reference):
             for pattern in cascade.patterns():
@@ -754,16 +794,10 @@ class TestPolarizationDependence:
                         assert relabelled[index[tuple(target)]] == pytest.approx(p, abs=1e-12)
 
     def test_counts_differ_under_polarisation_dependence(self):
-        phis = [0.0, math.pi / 2, math.pi]
-        preps = triad_scan_preparations([theta_for_phase(p) for p in phis], 1.0)
-        base = simulate_counts(preps, IDEAL_SOURCE, PERFECT_DETECTORS, x_values=phis)
+        points = scan_points("triad", "dynamic", [0.0, math.pi / 2, math.pi], 1.0)
+        base = simulate_counts(points, IDEAL_SOURCE, PERFECT_DETECTORS)
         split = simulate_counts(
-            preps,
-            IDEAL_SOURCE,
-            PERFECT_DETECTORS,
-            balanced_tritter(),
-            perturbed_tritter(),
-            x_values=phis,
+            points, IDEAL_SOURCE, PERFECT_DETECTORS, balanced_tritter(), perturbed_tritter()
         )
         diff = max(
             np.max(np.abs(base.series[k] - split.series[k])) for k in base.series

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracle_inputs import expand_inputs, vectors_from_gram
-from product_states import random_product_states
+from product_states import points_of, random_product_states
 from triphoton.errors import SizeLimit
 from triphoton.experiment import (
     _idler_distribution,
@@ -327,9 +327,10 @@ class TestPairDistribution:
             net_v = net_h
         prep = triad_scan_preparations([theta_for_phase(2.0)], 1.0)[0]
         states = prepare(prep)
-        ((columns, grams),) = _point_blocks([prep], net_h, net_v)
+        ((columns, grams),) = _point_blocks(points_of([prep]), net_h, net_v)
         # An equal but distinct V network takes the plain path.
-        ((twin_columns, twin_grams),) = _point_blocks([prep], net_h, Network(net_h.matrix.copy()))
+        twin_v = Network(net_h.matrix.copy())
+        ((twin_columns, twin_grams),) = _point_blocks(points_of([prep]), net_h, twin_v)
         for pairs in product(range(5), repeat=3):
             if not 2 <= sum(pairs) <= 4:
                 continue

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import triphoton.source
 from triphoton.errors import DomainError
-from triphoton.experiment import delay_scan_preparations, simulate_counts
+from triphoton.experiment import scan_points, simulate_counts
 from triphoton.source import (
     SourceParams,
     enumerate_terms,
@@ -225,14 +225,14 @@ class TestClosedForm:
         def fail(_):
             raise AssertionError("a run enumerated the joint emission terms")
 
-        preps = delay_scan_preparations("all_H", [0.0], 1.0)
+        points = scan_points("delay", "all_H", [0.0], 1.0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(triphoton.source, "enumerate_terms", fail)
             if not heralded:
                 with pytest.raises(DomainError, match="no source term ever heralds"):
-                    simulate_counts(preps, params)
+                    simulate_counts(points, params)
                 return
-            counts = simulate_counts(preps, params)
+            counts = simulate_counts(points, params)
         assert counts.metadata["truncation_deficit"] == truncation_deficit(params)
         by_vector = [c_l * math.comb(l + 2, 2) for c in heralded.values() for l, c_l in enumerate(c)]
         assert counts.metadata["herald_probability"] == math.fsum(by_vector)
