@@ -266,6 +266,16 @@ def _number(text: str) -> float | int:
     return int(text) if text.lstrip("-").isdigit() else value
 
 
+def _flag_number(name: str, text: str) -> float | int:
+    """A command line flag's number, read like a number in a config."""
+    try:
+        return _number(text)
+    except ValueError:
+        raise ConfigError(f"--{name}: {text[:40]!r} is not a number") from None
+    except ConfigError as exc:
+        raise ConfigError(f"--{name}: {exc}") from None
+
+
 def load_config(path: str | Path) -> dict:
     """Read and schema-validate a configuration file; numbers with no finite float are rejected."""
     try:
@@ -500,8 +510,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out-dir", default=None)
 
     p_val = sub.add_parser("validate", help="run the oracle-equivalence suite")
-    for key in ("instances", "seed"):
-        p_val.add_argument(f"--{key}", type=int, default=VALIDATION_DEFAULTS[key])
+    for key, default in VALIDATION_DEFAULTS.items():
+        p_val.add_argument(f"--{key}", default=str(default))
 
     sub.add_parser("version", help="print the library version")
 
@@ -510,14 +520,15 @@ def main(argv: list[str] | None = None) -> int:
         print(__version__)
         return 0
     if args.command == "validate":
-        # The flags obey the schema of a config's validation block.
-        validation = {"instances": args.instances, "seed": args.seed}
+        # The flags obey the number rule and the schema of a config's
+        # validation block.
         try:
+            validation = {key: _flag_number(key, getattr(args, key)) for key in VALIDATION_DEFAULTS}
             _checked({"mode": "validate", "validation": validation})
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        return _validate(args.instances, args.seed)[1]
+        return _validate(validation["instances"], validation["seed"])[1]
     return run(args.config, args.out_dir, args.format)
 
 

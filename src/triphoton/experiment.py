@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -178,8 +178,10 @@ def scan_points(kind: str, recipe: str, values, sigma: float) -> ScanPoints:
         table = np.array(_polarizations(recipe, None), dtype=complex)
         return ScanPoints("tau", xs, delays, sigmas, np.broadcast_to(table, (len(xs), 3, 2)))
     thetas = [theta_for_phase(phi) for phi in xs.tolist()]
-    delays = np.array([(delay_condition(t, sigma), 0.0, 0.0) for t in thetas]).reshape(-1, 3)
-    pol = np.array([_polarizations(recipe, t) for t in thetas], dtype=complex).reshape(-1, 3, 2)
+    delays = np.zeros((len(xs), 3))
+    delays[:, 0] = [delay_condition(t, sigma) for t in thetas]
+    amplitudes = chain.from_iterable(chain.from_iterable(_polarizations(recipe, t)) for t in thetas)
+    pol = np.fromiter(amplitudes, dtype=complex, count=6 * len(xs)).reshape(-1, 3, 2)
     return ScanPoints("phi", xs, delays, sigmas, pol)
 
 

@@ -5,17 +5,20 @@ A state is a product of one creation operator per photon.  The network
 substitutes ``a_dag[j, x] -> sum_k U[k, j] a_dag[k, x]`` in each photon's
 creation operator; the product is then expanded once into occupation
 amplitudes, one photon at a time, and probabilities follow from the Born
-rule.  The expansion runs on arrays: a term is the sorted list of its
-photons' slots, and equal terms are merged through their base-``width``
-integer codes.  No permutation sum and no occupation table is shared with
-the engine this checks.  Deliberately simple; correctness gate only.
+rule.  A term is a multiset of slots, named by its index among all
+multisets of its size in lexicographic order.  Creating a photon reads one
+cached table per (photons created so far, width): the index each multiset
+reaches when a slot is added, and ``sqrt(n + 1)``.  No permutation sum and
+no occupation table is shared with the engine this checks.  Deliberately
+simple; correctness gate only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -24,30 +27,75 @@ from .interference import Network, event_distribution
 from .modes import GramMatrix
 
 ORACLE_MAX_PHOTONS = 6
-# Bytes one creation step may allocate for its (terms x nonzero slots) rows:
-# their slot lists, integer codes and amplitudes.
+# Bytes one creation table may take while it is built, per (multiset, slot)
+# pair: the grown multiset, its code, the index it reaches and sqrt(n + 1).
+# A step's gathered amplitudes, indices and factors fit in the same bytes.
 STEP_BYTES_LIMIT = 1 << 28
 
 
-def _merge(rows: np.ndarray, amps: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the entries of ``amps`` whose sorted ``rows`` are equal.
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
-    Each row is read as a base-``base`` integer; returns one row per distinct
-    code, in ascending code order, with the summed amplitudes.
-    """
-    powers = base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    _, first, inverse = np.unique(rows @ powers, return_index=True, return_inverse=True)
-    merged = np.bincount(inverse, weights=amps.real, minlength=len(first)).astype(amps.dtype)
-    if np.iscomplexobj(amps):
-        merged += 1j * np.bincount(inverse, weights=amps.imag, minlength=len(first))
-    return rows[first], merged
+
+def _codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """Each sorted row of ``rows`` read as a base-``base`` integer, which keeps their order."""
+    return rows @ base ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def _counts(rows: np.ndarray, width: int) -> np.ndarray:
+    """The ``(len(rows), width)`` occupations of the sorted slot lists ``rows``."""
+    flat = rows + width * np.arange(len(rows))[:, None]
+    return np.bincount(flat.ravel(), minlength=len(rows) * width).reshape(len(rows), width)
 
 
 def _occupations(rows: np.ndarray, width: int) -> list[tuple[int, ...]]:
     """The occupation tuple over ``width`` slots of each sorted slot list in ``rows``."""
-    flat = rows + width * np.arange(len(rows))[:, None]
-    counts = np.bincount(flat.ravel(), minlength=len(rows) * width)
-    return list(map(tuple, counts.reshape(len(rows), width).tolist()))
+    return list(map(tuple, _counts(rows, width).tolist()))
+
+
+@lru_cache(maxsize=32)
+def _multisets(k: int, width: int) -> np.ndarray:
+    """The k-slot multisets over ``width`` slots, one sorted row each, in lexicographic order."""
+    size = math.comb(width + k - 1, k)
+    rows = chain.from_iterable(combinations_with_replacement(range(width), k))
+    return _read_only(np.fromiter(rows, dtype=np.int64, count=size * k).reshape(size, k))
+
+
+@lru_cache(maxsize=32)
+def _creation(k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(reached, factor)``, each ``(k-multisets, width)``: adding slot s to a k-multiset.
+
+    ``reached`` is the index of the grown multiset among the (k + 1)-multisets
+    and ``factor`` is ``sqrt(n_s + 1)``, the weight ``a_dag[s]`` gives it.
+    """
+    before = _multisets(k, width)
+    grown = np.empty((len(before), width, k + 1), dtype=np.int64)
+    grown[..., :k] = before[:, None, :]
+    grown[..., k] = np.arange(width)
+    grown.sort(axis=2)
+    reached = np.searchsorted(_codes(_multisets(k + 1, width), width), _codes(grown, width))
+    return _read_only(reached), _read_only(np.sqrt(_counts(before, width) + 1))
+
+
+@lru_cache(maxsize=32)
+def _spatial(n: int, n_modes: int, internal_dim: int) -> np.ndarray:
+    """For each n-multiset of (mode, internal index) slots, the index of its n-multiset of modes."""
+    modes = _codes(_multisets(n, n_modes * internal_dim) // internal_dim, n_modes)
+    return _read_only(np.searchsorted(_codes(_multisets(n, n_modes), n_modes), modes))
+
+
+def _summed(targets: np.ndarray, weights: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices below ``size`` that ``targets`` reach, ascending, and the weights summed on each.
+
+    An index whose weights cancel is kept with its exact zero.
+    """
+    sums = np.bincount(targets, weights=weights.real, minlength=size)
+    if np.iscomplexobj(weights):
+        sums = sums + 1j * np.bincount(targets, weights=weights.imag, minlength=size)
+    reached = np.zeros(size, dtype=bool)
+    reached[targets] = True
+    return np.flatnonzero(reached), sums[reached]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,50 +119,54 @@ class FockState:
             raise DomainError("one row of n_modes * internal_dim amplitudes per photon required")
         n, width = rows.shape
         if width**n > np.iinfo(np.int64).max:
-            raise SizeLimit(f"{n} photons over {width} slots overflow the int64 term codes")
+            raise SizeLimit(f"{n} photons over {width} slots overflow the int64 multiset codes")
         rows.flags.writeable = False
         object.__setattr__(self, "photons", rows)
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(slots, amps)``: one sorted slot list per term and its normalised amplitude.
+        """``(index, amps)``: each term's index among the n-slot multisets, and its amplitude.
 
-        The photons are created one at a time: ``a_dag |n> = sqrt(n + 1)
-        |n + 1>`` extends every term by each nonzero slot of the photon's row,
-        then equal terms are merged.
+        The photons are created one at a time: ``a_dag[s] |n> = sqrt(n_s + 1)
+        |n + e_s>`` takes every term, for each nonzero slot s of the photon's
+        row, to the multiset that :func:`_creation` tabulates, and the
+        amplitudes reaching one multiset are summed.  Every multiset reached
+        stays a term, even where its amplitudes cancel.  The amplitudes are
+        normalised.
         """
         width = self.photons.shape[1]
-        slots = np.zeros((1, 0), dtype=np.int64)
+        index = np.zeros(1, dtype=np.int64)
         amps = np.ones(1, dtype=complex)
-        for row in self.photons:
-            nonzero = np.flatnonzero(row)
-            size = len(slots) * len(nonzero)
-            if size * (8 * slots.shape[1] + 32) > STEP_BYTES_LIMIT:
+        for k, row in enumerate(self.photons):
+            size = math.comb(width + k - 1, k) * width  # the table's (multiset, slot) pairs
+            if size * (8 * k + 40) > STEP_BYTES_LIMIT:
                 raise SizeLimit(f"an oracle step of {size} terms exceeds {STEP_BYTES_LIMIT} bytes")
-            extended = np.empty((size, slots.shape[1] + 1), dtype=np.int64)
-            extended[:, :-1] = np.repeat(slots, len(nonzero), axis=0)
-            extended[:, -1] = np.tile(nonzero, len(slots))
-            # n + 1: the new slot's occupation once the photon is created.
-            count = np.count_nonzero(extended == extended[:, -1:], axis=1)
-            created = np.repeat(amps, len(nonzero))
-            created *= np.tile(row[nonzero], len(slots))
-            created *= np.sqrt(count)
-            extended.sort(axis=1)
-            slots, amps = _merge(extended, created, width)
-        return slots, amps / np.linalg.norm(amps)
+            reached, factor = _creation(k, width)
+            nonzero = np.flatnonzero(row)
+            cells = np.ix_(index, nonzero)
+            created = amps[:, None] * row[nonzero]
+            created *= factor[cells]
+            n_grown = math.comb(width + k, k + 1)
+            index, amps = _summed(reached[cells].ravel(), created.ravel(), n_grown)
+        return index, amps / np.linalg.norm(amps)
 
     @cached_property
     def amplitudes(self) -> dict[tuple[int, ...], complex]:
         """Occupation amplitudes, keyed by the occupation tuple over the slots."""
-        slots, amps = self.terms
-        return dict(zip(_occupations(slots, self.photons.shape[1]), amps.tolist()))
+        index, amps = self.terms
+        n, width = self.photons.shape
+        return dict(zip(_occupations(_multisets(n, width)[index], width), amps.tolist()))
 
 
 def expand_from_vectors(vectors: np.ndarray, input_modes: list[int], n_modes: int) -> FockState:
     """The input state with photon p in mode ``input_modes[p]``, internal vector ``vectors[p]``.
 
     ``input_modes`` may repeat: photons sharing a mode acquire the proper
-    bosonic sqrt(n!) weights and the state is normalised.
+    bosonic sqrt(n!) weights and the state is normalised.  The internal basis
+    is the photons' span: n photons in d > n dimensions are expanded in an
+    orthonormal basis of n vectors spanning theirs, which keeps their inner
+    products and so every measured probability, but not the internal indices
+    of ``amplitudes``.
     """
     vectors = np.asarray(vectors, dtype=complex)
     n, d = vectors.shape
@@ -122,6 +174,10 @@ def expand_from_vectors(vectors: np.ndarray, input_modes: list[int], n_modes: in
         raise DomainError("one input mode per photon required")
     if n > ORACLE_MAX_PHOTONS:
         raise SizeLimit(f"oracle capped at {ORACLE_MAX_PHOTONS} photons")
+    if d > n:
+        # V^dagger = Q R with orthonormal columns in Q, so V = R^dagger Q^dagger.
+        vectors = np.linalg.qr(vectors.conj().T)[1].conj().T
+        d = n
     rows = np.zeros((n, n_modes, d), dtype=complex)
     rows[np.arange(n), input_modes] = vectors  # e_j (x) v_p
     return FockState(n_modes, d, rows.reshape(n, n_modes * d))
@@ -140,9 +196,11 @@ def evolve_amplitudes(fock: FockState, net: Network) -> FockState:
 def evolve_and_measure(fock: FockState, net: Network) -> dict[tuple[int, ...], float]:
     """Map from spatial output occupation to probability after the network."""
     evolved = evolve_amplitudes(fock, net)
-    slots, amps = evolved.terms
-    modes, probs = _merge(slots // evolved.internal_dim, np.abs(amps) ** 2, evolved.n_modes)
-    return dict(zip(_occupations(modes, evolved.n_modes), probs.tolist()))
+    index, amps = evolved.terms
+    n, m = len(evolved.photons), evolved.n_modes
+    spatial = _spatial(n, m, evolved.internal_dim)[index]
+    modes, probs = _summed(spatial, np.abs(amps) ** 2, math.comb(m + n - 1, n))
+    return dict(zip(_occupations(_multisets(n, m)[modes], m), probs.tolist()))
 
 
 def random_unitary(rng: np.random.Generator, m: int) -> Network:

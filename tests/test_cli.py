@@ -486,6 +486,23 @@ class TestMainEntry:
         assert "minimum of 0" in captured.err
         assert "validated" not in captured.out
 
+    @pytest.mark.parametrize(
+        "flags, words",
+        [
+            # An integer with no finite float, as in a config's validation block.
+            (["--instances", "1", "--seed", "1" * 401], "--seed: number 1111"),
+            (["--instances", "1e400"], "--instances: number 1e400 has no finite float"),
+            (["--instances", "three"], "--instances: 'three' is not a number"),
+            (["--instances", "3.0"], "3.0 is not of type 'integer'"),
+        ],
+    )
+    def test_validate_flags_follow_the_config_number_rule(self, capsys, flags, words):
+        assert main(["validate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert words in captured.err
+        assert "validated" not in captured.out
+
     def test_python_m_package(self):
         out = run_module("triphoton", "validate", "--instances", "3")
         assert out.returncode == 0, out.stderr

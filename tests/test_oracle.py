@@ -123,17 +123,18 @@ def random_rows(rng, n, width):
 
 
 class TestFirstQuantisedReference:
-    """The array expansion against a sum over every slot tuple, for 1-4 photons."""
+    """The table expansion against a sum over every slot tuple, for 1-6 photons."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_shared_input_mode(self, n):
+        # Six slots at most: 3 modes x 2 internal dimensions.
         rng = np.random.default_rng(60 + n)
-        inputs = [0, 0, 1, 0][:n]
+        inputs = [0, 0, 1, 0, 2, 0][:n]
         fock = expand_from_vectors(random_rows(rng, n, 2), inputs, 3)
         assert_matches_first_quantised(fock)
         assert_matches_first_quantised(evolve_amplitudes(fock, random_unitary(rng, 3)))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_rows_with_zeros(self, n):
         rng = np.random.default_rng(70 + n)
         rows = random_rows(rng, n, 5)
@@ -146,6 +147,28 @@ class TestFirstQuantisedReference:
         evolved = evolve_amplitudes(fock, balanced_beamsplitter())
         assert_matches_first_quantised(evolved)
         assert abs(evolved.amplitudes.get((1, 1), 0.0)) ** 2 < 1e-30
+
+
+class TestInternalBasis:
+    """Only the photons' inner products reach a measured distribution."""
+
+    @pytest.mark.parametrize("n, inputs", [(1, [2]), (3, [0, 0, 2]), (5, [1, 0, 1, 3, 1])])
+    def test_padded_or_rotated_basis(self, n, inputs):
+        rng = np.random.default_rng(80 + n)
+        net = random_unitary(rng, 4)
+        vectors = random_rows(rng, n, 2)
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        base = evolve_and_measure(expand_from_vectors(vectors, inputs, 4), net)
+        padded = np.hstack([vectors, np.zeros((n, n + 2))])
+        rotation = random_unitary(rng, n + 4).matrix
+        for other in (padded, padded @ rotation, vectors @ random_unitary(rng, 2).matrix):
+            fock = expand_from_vectors(other, inputs, 4)
+            # More dimensions than photons: the expansion keeps n, their span.
+            assert fock.internal_dim == min(n, other.shape[1])
+            dist = evolve_and_measure(fock, net)
+            assert set(dist) == set(base)
+            for occ, p in base.items():
+                assert abs(dist[occ] - p) < 1e-13
 
 
 class TestSizeLimits:
