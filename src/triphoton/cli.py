@@ -101,7 +101,7 @@ CONFIG_SCHEMA = {
                 "start": _NUMBER,
                 "stop": _NUMBER,
                 "points": {"type": "integer", "minimum": 2, "maximum": 10000},
-                "values": {"type": "array", "minItems": 1, "items": _NUMBER},
+                "values": {"type": "array", "minItems": 1, "maxItems": 10000, "items": _NUMBER},
             },
             # Explicit values or a complete range, never both.  ({"not": {}}
             # rejects any value; unlike False, it reports the key's location.)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, product
 
 import numpy as np
@@ -212,18 +211,18 @@ class ScanResult:
 def _ideal_scan(points: ScanPoints) -> ScanResult:
     """Balanced-tritter events of pure photons, one per input, at every point.
 
-    The point model of :func:`simulate_counts` with common-mode weight 1,
-    on the same one-block Gram stack (:func:`_point_blocks`): the
-    three-photon events are its (1, 1, 1) configuration, and each
-    two-photon marginal is the configuration of its input pair, detected at
-    those outputs.  That is one engine call for the three-photon events and
-    one per pair, whatever the number of points.
+    The point model of :func:`simulate_counts` with common-mode weight 1, on
+    the same Gram stack (:func:`_point_stack`): the three-photon events are
+    its (1, 1, 1) configuration, and each two-photon marginal is the
+    configuration of its input pair, detected at those outputs.  That is one
+    engine call for the three-photon events and one per pair, whatever the
+    number of points.
     """
     net = balanced_tritter()
     column = {name: row for row, name in enumerate(IDEAL_EVENT_ORDER)}
     triples = [column["P" + "".join(map(str, occ))] for occ in _occupations(3, 3)]
     pair_index = occupation_index(2, 3)
-    ((columns, grams),) = _point_blocks(points, net, net)
+    columns, grams = _point_stack(points, net, net)
     values = np.empty((len(IDEAL_EVENT_ORDER), len(grams)))
     values[triples] = _idler_distribution(columns, grams, 1.0, (1, 1, 1)).T
     for pairs in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
@@ -307,11 +306,14 @@ def _click_maps(
     cascade: DetectionCascade,
     net_h: Network,
     net_v: Network,
+    rows: int,
 ) -> dict[tuple[int, int, int], np.ndarray]:
     """Weighted click-pattern map of every pair configuration, summed over its idler noise.
 
-    Applied to the pair idlers' distribution over ``_occupations(n, 3)``,
-    ``maps[pairs]`` gives that configuration's share of the click patterns.  An
+    Applied to the pair idlers' distribution over ``_occupations(n, rows)``,
+    ``maps[pairs]`` gives that configuration's share of the click patterns.
+    The rows are the 3 outputs, or (output, H) then (output, V): detectors
+    do not see polarisation, so a V row takes its output's ``beta``.  An
     unpolarised noise photon from input i reaches output o with probability
     ``q[o, i] = (|U_H[o, i]|^2 + |U_V[o, i]|^2) / 2`` independently of the rest,
     so it multiplies ``prod_o beta[t, o]**N_o`` by ``g[t, i] = sum_o beta[t, o] q[o, i]``.
@@ -329,43 +331,38 @@ def _click_maps(
     for g_i in g.T:
         for l_total in range(1, orders):
             h[l_total] += g_i * h[l_total - 1]
-    maps = {}
-    for pairs, c in heralded.items():
-        factor = np.asarray(c) @ h[: len(c)]
-        occupations = np.array(_occupations(sum(pairs), 3))
-        maps[pairs] = a @ (factor[:, None] * np.prod(beta[:, None] ** occupations, axis=2))
-    return maps
-
-
-@lru_cache(maxsize=None)
-def _fold_matrix(n: int) -> np.ndarray:
-    """0/1 map from occupations of n photons over (output, H) then (output, V) to outputs."""
-    target = occupation_index(n, 3)
-    occupations = _occupations(n, 6)
-    fold = np.zeros((len(target), len(occupations)))
-    for col, occ in enumerate(occupations):
-        fold[target[tuple(h + v for h, v in zip(occ[:3], occ[3:]))], col] = 1.0
-    fold.flags.writeable = False
-    return fold
+    beta_rows = np.tile(beta, rows // 3)
+    products = {
+        n: np.prod(beta_rows[:, None] ** np.array(_occupations(n, rows)), axis=2)
+        for n in set(map(sum, heralded))
+    }
+    return {
+        pairs: a @ ((np.asarray(c) @ h[: len(c)])[:, None] * products[sum(pairs)])
+        for pairs, c in heralded.items()
+    }
 
 
 def _idler_distribution(
     columns: np.ndarray, grams: np.ndarray, p_common: float, pairs: tuple[int, int, int]
 ) -> np.ndarray:
-    """Output distribution of the pair idlers at every point of a Gram stack.
+    """Distribution of the pair idlers over the columns' rows at every point of a Gram stack.
 
-    Row p of the ``(P, occupations)`` result, over ``_occupations(sum(pairs), 3)``,
+    Row p of the ``(P, occupations)`` result, over ``_occupations(sum(pairs), rows)``,
     is that of the sources' validated Gram matrix ``grams[p]``.  An idler of
-    source j leaves by ``columns[:, j]``: a network column, or with 6 rows
-    its (output, H) then (output, V) amplitudes, folded onto the outputs
-    after the sum.  ``p_common`` is the common-mode weight of
-    :func:`triphoton.source._mixing_weight`.  Mixedness enters as convex
-    branches, one engine call each: every source puts all its idlers in the
-    common slot (weight p) or its own slot (weight 1 - p), and idlers in
-    different slots are orthogonal.
+    source j leaves by ``columns[..., j]``: a network column, or a point's
+    column of a ``(P, 6, 3)`` stack, sent to the engine one point per call.
+    ``p_common`` is the common-mode weight of :func:`triphoton.source._mixing_weight`.
+    Mixedness enters as convex branches, one engine call each: every source
+    puts all its idlers in the common slot (weight p) or its own slot
+    (weight 1 - p), and idlers in different slots are orthogonal.
     """
     if not any(pairs):
         return np.ones((len(grams), 1))
+    if columns.ndim == 3:
+        dist = np.empty((len(grams), len(_occupations(sum(pairs), columns.shape[1]))))
+        for i, (c, g) in enumerate(zip(columns, grams)):
+            dist[i] = _idler_distribution(c, g[None], p_common, pairs)
+        return dist
     participating = [i for i in range(3) if pairs[i] > 0]
     modes = tuple(i for i in participating for _ in range(pairs[i]))
     idlers, overlaps = columns.take(modes, 1), grams.take(modes, -2).take(modes, -1)
@@ -380,29 +377,25 @@ def _idler_distribution(
         # product theorem: the branch Grams are not re-checked.
         masked = overlaps * (slots[:, None] == slots[None, :]) if slots.any() else overlaps
         total = total + weight * _columns_distribution(idlers, masked, modes)
-    return total @ _fold_matrix(len(modes)).T if len(columns) > 3 else total
+    return total
 
 
-def _point_blocks(
+def _point_stack(
     points: ScanPoints, net_h: Network, net_v: Network
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``(columns, grams)`` blocks of :func:`_idler_distribution` covering the points in order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(columns, grams)`` of :func:`_idler_distribution` at every point, in order.
 
-    One :func:`~triphoton.modes.gram_stack` call on the points' arrays
-    gives every point's Gram matrix.  Unless any entry of ``net_h.matrix``
-    and ``net_v.matrix`` differs, one block holds them all.  Otherwise each
-    point is a block: its H-over-V columns weighted by its polarisation
-    amplitudes, and its temporal overlaps; stacking points with their own
-    columns would only multiply the amplitude tables.
+    One :func:`~triphoton.modes.gram_stack` call gives every Gram matrix.  Unless
+    any entry of ``net_h.matrix`` and ``net_v.matrix`` differs, the columns are
+    the network's; otherwise a ``(P, 6, 3)`` stack of each point's H rows over
+    its V rows, weighted by its polarisation amplitudes, with temporal Grams.
     """
     delays, sigmas, pol = points.delays, points.sigmas, points.polarizations
     if np.array_equal(net_h.matrix, net_v.matrix):
-        return [(net_h.matrix, gram_stack(delays, sigmas, pol))]
+        return net_h.matrix, gram_stack(delays, sigmas, pol)
     temporal = gram_stack(delays, sigmas, np.broadcast_to([1.0, 0.0], pol.shape))
-    return [
-        (np.vstack([net_h.matrix * h, net_v.matrix * v]), temporal[i : i + 1])
-        for i, (h, v) in enumerate(zip(pol[..., 0], pol[..., 1]))
-    ]
+    columns = np.stack([net_h.matrix, net_v.matrix]) * pol.swapaxes(1, 2)[:, :, None]
+    return columns.reshape(len(pol), 6, 3), temporal
 
 
 def simulate_counts(
@@ -414,22 +407,20 @@ def simulate_counts(
 ) -> ScanResult:
     """Heralded click-pattern probabilities of the full experiment model at every point.
 
-    The model is a chain of linear maps on occupation distributions over the
-    three outputs.  The source's heralded weights come in closed form from
+    The model is a chain of linear maps on occupation distributions.  The
+    source's heralded weights come in closed form from
     :func:`triphoton.source.heralded_ensemble`, one coefficient list per pair
     configuration with no joint emission term or idler-noise vector listed;
     the herald norm counts the C(L+2, 2) idler-noise vectors with L photons
-    at weight c[L] each.  The noise and detection part does not depend on
-    the scan point and is built once per run: one closed-form click-pattern
-    matrix per pair configuration, with its idler noise photons summed in
-    (:func:`_click_maps`).  :func:`_idler_distribution` gives each
-    configuration's pair idlers as dense distributions at every point of
-    a block (:func:`_point_blocks`), with source impurity as convex
-    branches over mixedness slots and a polarisation-dependent network by
-    mode doubling.  Under H = V all points are one block, so each
-    (configuration, branch) is one engine call per run.  The click
-    patterns are the sum of the maps' matrix products.  The mixed-state
-    trace formulas are the reference the tests check the engine against.
+    at weight c[L] each.  Once per run, :func:`_click_maps` builds one
+    closed-form click-pattern matrix per pair configuration, its idler noise
+    summed in.  :func:`_idler_distribution` gives each configuration's pair
+    idlers at every point (:func:`_point_stack`), with source impurity as
+    convex branches over mixedness slots, over the outputs or, under H != V,
+    the (output, polarisation) rows the maps read.  Each (configuration,
+    branch) is one engine call per run under H = V, one per point under
+    H != V; the click patterns are one matrix product per configuration.
+    The mixed-state trace formulas are the tests' reference for the engine.
     Series are probabilities per triple-heralded trial, along the points' x axis.
 
     Every point's click patterns must sum to 1 within 1e-12 and stay above
@@ -451,15 +442,12 @@ def simulate_counts(
         raise DomainError("no source term ever heralds; increase squeezing or noise")
 
     names = ["N" + "".join(str(c) for c in pattern) for pattern in cascade.patterns()]
-    maps = _click_maps(heralded, cascade, net_h, net_v)
+    columns, grams = _point_stack(points, net_h, net_v)
+    maps = _click_maps(heralded, cascade, net_h, net_v, columns.shape[-2])
     p_common = _mixing_weight(source.purity)
-    counts = np.zeros((len(names), len(points.delays)))
-    start = 0
-    for columns, grams in _point_blocks(points, net_h, net_v):
-        block = counts[:, start : start + len(grams)]
-        for pairs, m in maps.items():
-            block += m @ _idler_distribution(columns, grams, p_common, pairs).T
-        start += len(grams)
+    counts = np.zeros((len(names), len(grams)))
+    for pairs, m in maps.items():
+        counts += m @ _idler_distribution(columns, grams, p_common, pairs).T
     counts /= herald_norm
     worst_total = float(np.abs(counts.sum(axis=0) - 1.0).max(initial=0.0))
     lowest = float(counts.min(initial=0.0))

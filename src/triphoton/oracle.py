@@ -5,11 +5,12 @@ A state is a product of one creation operator per photon.  The network
 substitutes ``a_dag[j, x] -> sum_k U[k, j] a_dag[k, x]`` in each photon's
 creation operator; the product is then expanded once into occupation
 amplitudes, one photon at a time, and probabilities follow from the Born
-rule.  A term is a multiset of slots, named by its index among all
-multisets of its size in lexicographic order.  Creating a photon reads one
-cached table per (photons created so far, width): the index each multiset
-reaches when a slot is added, and ``sqrt(n + 1)``.  No permutation sum and
-no occupation table is shared with the engine this checks.  Deliberately
+rule.  The tables span only the slots some photon occupies.  A term is a
+multiset of those slots, named by its index among all multisets of its size
+in lexicographic order.  Creating a photon reads one cached table per
+(photons created so far, occupied slots): the index each multiset reaches
+when a slot is added, and ``sqrt(n + 1)``.  No permutation sum and no
+occupation table is shared with the engine this checks.  Deliberately
 simple; correctness gate only.
 """
 
@@ -79,9 +80,12 @@ def _creation(k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _spatial(n: int, n_modes: int, internal_dim: int) -> np.ndarray:
-    """For each n-multiset of (mode, internal index) slots, the index of its n-multiset of modes."""
-    modes = _codes(_multisets(n, n_modes * internal_dim) // internal_dim, n_modes)
+def _spatial(n: int, slot_modes: tuple[int, ...], n_modes: int) -> np.ndarray:
+    """For each n-multiset of slots, the index of its n-multiset of modes.
+
+    Slot s lies in mode ``slot_modes[s]``, which never decreases with s.
+    """
+    modes = _codes(np.array(slot_modes)[_multisets(n, len(slot_modes))], n_modes)
     return _read_only(np.searchsorted(_codes(_multisets(n, n_modes), n_modes), modes))
 
 
@@ -124,20 +128,25 @@ class FockState:
         object.__setattr__(self, "photons", rows)
 
     @cached_property
-    def terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(index, amps)``: each term's index among the n-slot multisets, and its amplitude.
+    def occupied(self) -> np.ndarray:
+        """The slots some photon's row is nonzero on, ascending; every slot if there are none."""
+        return np.flatnonzero(self.photons.any(axis=0) | ~self.photons.any())
 
-        The photons are created one at a time: ``a_dag[s] |n> = sqrt(n_s + 1)
-        |n + e_s>`` takes every term, for each nonzero slot s of the photon's
-        row, to the multiset that :func:`_creation` tabulates, and the
-        amplitudes reaching one multiset are summed.  Every multiset reached
-        stays a term, even where its amplitudes cancel.  The amplitudes are
-        normalised.
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, amps)``: each term's index among n-multisets of occupied slots, and amplitude.
+
+        The photons are created one at a time over the occupied slots only:
+        ``a_dag[s] |n> = sqrt(n_s + 1) |n + e_s>`` takes every term, for each
+        nonzero slot s of the photon's row, to the multiset that
+        :func:`_creation` tabulates, and the amplitudes reaching one multiset
+        are summed.  Every multiset reached stays a term, even where its
+        amplitudes cancel.  The amplitudes are normalised.
         """
-        width = self.photons.shape[1]
+        rows, width = self.photons[:, self.occupied], len(self.occupied)
         index = np.zeros(1, dtype=np.int64)
         amps = np.ones(1, dtype=complex)
-        for k, row in enumerate(self.photons):
+        for k, row in enumerate(rows):
             size = math.comb(width + k - 1, k) * width  # the table's (multiset, slot) pairs
             if size * (8 * k + 40) > STEP_BYTES_LIMIT:
                 raise SizeLimit(f"an oracle step of {size} terms exceeds {STEP_BYTES_LIMIT} bytes")
@@ -155,7 +164,8 @@ class FockState:
         """Occupation amplitudes, keyed by the occupation tuple over the slots."""
         index, amps = self.terms
         n, width = self.photons.shape
-        return dict(zip(_occupations(_multisets(n, width)[index], width), amps.tolist()))
+        slots = self.occupied[_multisets(n, len(self.occupied))[index]]
+        return dict(zip(_occupations(slots, width), amps.tolist()))
 
 
 def expand_from_vectors(vectors: np.ndarray, input_modes: list[int], n_modes: int) -> FockState:
@@ -198,7 +208,8 @@ def evolve_and_measure(fock: FockState, net: Network) -> dict[tuple[int, ...], f
     evolved = evolve_amplitudes(fock, net)
     index, amps = evolved.terms
     n, m = len(evolved.photons), evolved.n_modes
-    spatial = _spatial(n, m, evolved.internal_dim)[index]
+    slot_modes = tuple((evolved.occupied // evolved.internal_dim).tolist())
+    spatial = _spatial(n, slot_modes, m)[index]
     modes, probs = _summed(spatial, np.abs(amps) ** 2, math.comb(m + n - 1, n))
     return dict(zip(_occupations(_multisets(n, m)[modes], m), probs.tolist()))
 

@@ -1,8 +1,10 @@
-"""Random delay x polarisation product states, and the points of preparations, for the tests."""
+"""Random delay x polarisation product states, the points of preparations, and the fold of
+polarisation rows onto outputs, for the tests."""
 
 import numpy as np
 
 from triphoton.experiment import ScanPoints, prepare
+from triphoton.interference import occupation_index, output_occupations
 from triphoton.modes import GaussianTemporalMode, InternalState, PolarizationState, overlap
 
 
@@ -54,3 +56,18 @@ def points_of(preparations) -> ScanPoints:
         sigmas.reshape(-1, 3),
         np.array(pol, dtype=complex).reshape(-1, 3, 2),
     )
+
+
+def fold_rows(dist, n: int) -> np.ndarray:
+    """Sum a distribution over (output, H) then (output, V) rows onto the three outputs.
+
+    ``dist``'s last axis follows ``output_occupations(n, 6)`` and the result's
+    ``output_occupations(n, 3)``; leading axes are kept.  The one fold the
+    tests use: the model itself never folds, its click maps read the rows.
+    """
+    dist = np.asarray(dist)
+    index = occupation_index(n, 3)
+    folded = np.zeros(dist.shape[:-1] + (len(index),))
+    for column, occ in enumerate(output_occupations(n, 6)):
+        folded[..., index[tuple(h + v for h, v in zip(occ[:3], occ[3:]))]] += dist[..., column]
+    return folded

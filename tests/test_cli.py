@@ -150,6 +150,20 @@ class TestConfigValidation:
         assert "$.grid.points" in capsys.readouterr().err
         assert not (tmp_path / "demo_series.csv").exists()
 
+    def test_values_above_cap_rejected(self, tmp_path, capsys):
+        # Explicit values take the cap of a range's points.
+        values = np.linspace(0.0, 1.0, 10001).tolist()
+        cfg = dict(IDEAL_TRIAD, grid={"kind": "triad", "values": values})
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path / "bad")) == 2
+        assert "$.grid.values" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+        cfg["grid"]["values"] = values[:10000]
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run(path, out_dir=str(tmp_path / "out")) == 0
+        series = (tmp_path / "out" / "demo_series.csv").read_text().splitlines()
+        assert len(series) == 1 + 10000
+
     @pytest.mark.parametrize(
         "mode, block",
         [(m, b) for m in MODE_BLOCKS for b in VALID_BLOCKS if b not in MODE_BLOCKS[m]],

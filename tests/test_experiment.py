@@ -25,7 +25,7 @@ from triphoton.experiment import (
     triad_scan_preparations,
     _click_maps,
     _idler_distribution,
-    _point_blocks,
+    _point_stack,
 )
 from triphoton import cli, interference, modes
 from triphoton.interference import (
@@ -45,7 +45,7 @@ from triphoton.source import (
     heralded_ensemble,
 )
 
-from product_states import pairwise_gram, points_of
+from product_states import fold_rows, pairwise_gram, points_of
 from test_source import heralded_vectors
 
 # Detection cascades: no splitter, two-way splitters on the first and third
@@ -67,9 +67,10 @@ IDEAL_SOURCE = SourceParams(
 
 
 def point_idlers(prep, p_common, net_h, net_v, pairs):
-    """The pair idlers' distribution at the one point of ``prep``."""
-    ((columns, grams),) = _point_blocks(points_of([prep]), net_h, net_v)
-    return _idler_distribution(columns, grams, p_common, pairs)[0]
+    """The pair idlers' distribution over the outputs at the one point of ``prep``."""
+    columns, grams = _point_stack(points_of([prep]), net_h, net_v)
+    (dist,) = _idler_distribution(columns, grams, p_common, pairs)
+    return fold_rows(dist, sum(pairs)) if columns.ndim == 3 else dist
 
 
 def perturbed_tritter(eps=0.15):
@@ -288,7 +289,9 @@ class TestIdealScans:
         points = scan_points("delay", "all_H", [0.0, 1.0, 2.0], 1.0)
         points.sigmas[1] = -1.0
         with pytest.raises(DomainError, match="sigma must be positive"):
-            _point_blocks(points, balanced_tritter(), balanced_tritter())
+            _point_stack(points, balanced_tritter(), balanced_tritter())
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            _point_stack(points, balanced_tritter(), perturbed_tritter())
 
 
 def assert_same_points(points, reference):
@@ -475,9 +478,9 @@ class TestSimulateCounts:
         counts = simulate_counts(points_of(preps), source, cascade)
         heralded = heralded_ensemble(source)
         net = balanced_tritter()
-        maps = shifted(heralded, cascade, net, net)
+        maps = shifted(heralded, cascade, net, net, 3)
         p_common = _mixing_weight(source.purity)
-        ((columns, grams),) = _point_blocks(points_of(preps), net, net)
+        columns, grams = _point_stack(points_of(preps), net, net)
         raw = sum(
             m @ _idler_distribution(columns, grams, p_common, pairs).T for pairs, m in maps.items()
         )
@@ -670,7 +673,7 @@ class TestRunLevelMaps:
             MIXED_CASCADES, range(3), pair_configurations
         ):
             c = [0.0] * l_total + [1.0]
-            (matrix,) = _click_maps({pairs: c}, cascade, net_h, net_v).values()
+            (matrix,) = _click_maps({pairs: c}, cascade, net_h, net_v, 3).values()
             occupations = output_occupations(sum(pairs), 3)
             dist = rng.dirichlet(np.ones(len(occupations)))
             reference = dict.fromkeys(cascade.patterns(), 0.0)
@@ -688,13 +691,27 @@ class TestRunLevelMaps:
         sources = SMALL_SOURCES + (SourceParams(),)
         for source, cascade in itertools.product(sources, MIXED_CASCADES):
             heralded = heralded_ensemble(source)
-            maps = _click_maps(heralded, cascade, net_h, net_v)
-            assert list(maps) == list(heralded)
-            for pairs, matrix in maps.items():
-                weight = herald_norm({pairs: heralded[pairs]})
-                occupations = output_occupations(sum(pairs), 3)
-                assert matrix.shape == (len(cascade.patterns()), len(occupations))
-                assert np.max(np.abs(matrix.sum(axis=0) - weight)) < 1e-12
+            for rows in (3, 6):
+                maps = _click_maps(heralded, cascade, net_h, net_v, rows)
+                assert list(maps) == list(heralded)
+                for pairs, matrix in maps.items():
+                    weight = herald_norm({pairs: heralded[pairs]})
+                    occupations = output_occupations(sum(pairs), rows)
+                    assert matrix.shape == (len(cascade.patterns()), len(occupations))
+                    assert np.max(np.abs(matrix.sum(axis=0) - weight)) < 1e-12
+
+    def test_row_map_matches_fold_then_map(self):
+        # Detectors do not see polarisation: the map over (output, H) then
+        # (output, V) rows must equal folding the rows onto the outputs first.
+        rng = np.random.default_rng(29)
+        heralded = heralded_ensemble(SourceParams())
+        for cascade in MIXED_CASCADES:
+            net_h, net_v = random_unitary(rng, 3), random_unitary(rng, 3)
+            outputs = _click_maps(heralded, cascade, net_h, net_v, 3)
+            for pairs, matrix in _click_maps(heralded, cascade, net_h, net_v, 6).items():
+                dist = rng.dirichlet(np.ones(matrix.shape[1]))
+                folded = outputs[pairs] @ fold_rows(dist, sum(pairs))
+                assert np.max(np.abs(matrix @ dist - folded)) <= 1e-15
 
 
 @st.composite
@@ -803,3 +820,33 @@ class TestPolarizationDependence:
             np.max(np.abs(base.series[k] - split.series[k])) for k in base.series
         )
         assert diff > 1e-3
+
+    def test_no_points_give_empty_series(self):
+        # Under H != V the columns are a (0, 6, 3) stack: nothing reaches the engine.
+        points = scan_points("delay", "static_pi", [], 1.0)
+        cascade = DetectionCascade(TRITTER_1)
+        for net_v in (None, perturbed_tritter()):
+            counts = simulate_counts(points, SourceParams(), cascade, None, net_v)
+            assert len(counts.series) == len(cascade.patterns())
+            assert all(values.shape == (0,) for values in counts.series.values())
+
+    def test_split_points_reach_the_engine_one_per_call(self, monkeypatch):
+        # Under H != V each point has its own columns and so its own engine
+        # calls; under H = V the points share every call.
+        engine = experiment._columns_distribution
+        stacks = []
+
+        def counted(columns, s, modes):
+            stacks.append(len(s))
+            return engine(columns, s, modes)
+
+        monkeypatch.setattr(experiment, "_columns_distribution", counted)
+        calls = {}
+        for net_v, points in itertools.product((None, perturbed_tritter()), (1, 4)):
+            stacks.clear()
+            grid = scan_points("delay", "static_pi", np.linspace(-2.0, 2.0, points), 1.0)
+            simulate_counts(grid, SourceParams(), DetectionCascade(), None, net_v)
+            calls[net_v is None, points] = len(stacks)
+            assert set(stacks) == ({points} if net_v is None else {1})
+        assert calls[False, 4] == 4 * calls[False, 1] > 0
+        assert calls[True, 4] == calls[True, 1] > 0

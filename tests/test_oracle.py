@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from oracle_inputs import expand_inputs, vectors_from_gram
-from product_states import points_of, random_product_states
+from product_states import fold_rows, points_of, random_product_states
 from triphoton.errors import SizeLimit
 from triphoton.experiment import (
     _idler_distribution,
-    _point_blocks,
+    _point_stack,
     prepare,
     theta_for_phase,
     triad_scan_preparations,
@@ -55,15 +55,6 @@ def doubled_network(net_h, net_v, pols):
     blocks[:m, :m] = net_h.matrix
     blocks[m:, m:] = net_v.matrix
     return Network(blocks @ prep)
-
-
-def fold_polarisation(dist, m):
-    """Sum a (mode, H) then (mode, V) distribution onto spatial occupations."""
-    out = {}
-    for occ, p in dist.items():
-        key = tuple(h + v for h, v in zip(occ[:m], occ[m:]))
-        out[key] = out.get(key, 0.0) + p
-    return out
 
 
 def identical_states(n):
@@ -185,6 +176,27 @@ class TestSizeLimits:
         with pytest.raises(SizeLimit):
             fock.amplitudes
 
+    def test_sparse_state_tables_span_occupied_slots(self):
+        # Photons on 5 of 2000 slots: the tables span those 5 (all 2000 would
+        # pass the step budget), and every amplitude and key, in order, is that
+        # of the same photons on 5 slots, placed back.
+        rng = np.random.default_rng(61)
+        occupied = np.array([3, 17, 400, 1024, 1999])
+        compact = random_rows(rng, 3, 5)
+        compact[0, 1] = 0.0
+        wide = np.zeros((3, 2000), dtype=complex)
+        wide[:, occupied] = compact
+        expected = FockState(5, 1, compact).amplitudes
+        placed = []
+        for occ in expected:
+            full = [0] * 2000
+            for slot, count in zip(occupied, occ):
+                full[slot] = count
+            placed.append(tuple(full))
+        amplitudes = FockState(2000, 1, wide).amplitudes
+        assert list(amplitudes) == placed
+        assert list(amplitudes.values()) == list(expected.values())
+
 
 class TestEvolveAndMeasure:
     def test_identical_photons_tritter(self):
@@ -247,9 +259,11 @@ class TestEvolveAndMeasure:
         vectors = np.array([np.kron(w, pol) for w, pol in zip(other, pols)])
         plain = evolve_and_measure(expand_from_vectors(vectors, [0, 1, 2], 3), net)
         fock = expand_from_vectors(other, [0, 1, 2], 6)
-        blocked = fold_polarisation(evolve_and_measure(fock, doubled_network(net, net, pols)), 3)
-        for occ in set(plain) | set(blocked):
-            assert blocked.get(occ, 0.0) == pytest.approx(plain.get(occ, 0.0), abs=1e-12)
+        blocked = evolve_and_measure(fock, doubled_network(net, net, pols))
+        folded = fold_rows([blocked.get(occ, 0.0) for occ in output_occupations(3, 6)], 3)
+        assert set(plain) <= set(output_occupations(3, 3))
+        for occ, p in zip(output_occupations(3, 3), folded):
+            assert p == pytest.approx(plain.get(occ, 0.0), abs=1e-12)
 
 
 class TestSubstitution:
@@ -305,18 +319,23 @@ class TestVectorsReproduceGram:
         assert np.max(np.abs(v @ v.conj().T - g)) < 1e-10
 
 
-def oracle_pair_distribution(states, purity, pairs, net_h, net_v):
+def oracle_pair_distribution(states, purity, pairs, net_h, net_v=None):
     """Idler distribution of the noisy model's source term ``pairs``, built in the oracle.
 
-    Each source's idlers share one internal vector, temporal x mixedness
+    Each source's idlers share one internal vector, the photon's x mixedness
     slot: the common slot 0 with weight p, or the source's own slot 1 + i
-    with weight 1 - p.  Polarisation enters through the doubled network.
+    with weight 1 - p.  With no ``net_v`` the photon's vector holds its
+    polarisation and the network is ``net_h``.  Otherwise polarisation
+    enters through the doubled network, and the distribution stays over its
+    (mode, H) then (mode, V) outputs.
     """
-    temporal = gram_matrix([InternalState(s.temporal) for s in states]).entries
-    rows = vectors_from_gram(temporal)
     p = 0.5 * (1.0 + math.sqrt(2.0 * purity - 1.0))
-    pols = [(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in states]
-    net = doubled_network(net_h, net_v, pols)
+    if net_v is None:
+        net, rows = net_h, vectors_from_gram(gram_matrix(states).entries)
+    else:
+        pols = [(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in states]
+        net = doubled_network(net_h, net_v, pols)
+        rows = vectors_from_gram(gram_matrix([InternalState(s.temporal) for s in states]).entries)
     sources = [i for i in range(3) if pairs[i]]
     modes = [i for i in sources for _ in range(pairs[i])]
     total = {}
@@ -326,14 +345,18 @@ def oracle_pair_distribution(states, purity, pairs, net_h, net_v):
             continue
         slot = {i: k for i, (_, k) in zip(sources, combo)}
         vectors = np.array([np.kron(rows[i], np.eye(4)[slot[i]]) for i in modes])
-        fock = expand_from_vectors(vectors, modes, 2 * net_h.m)
-        for occ, q in fold_polarisation(evolve_and_measure(fock, net), net_h.m).items():
+        fock = expand_from_vectors(vectors, modes, net.m)
+        for occ, q in evolve_and_measure(fock, net).items():
             total[occ] = total.get(occ, 0.0) + weight * q
     return total
 
 
 class TestPairDistribution:
-    """Every 2-4 idler source term of the noisy model against the oracle."""
+    """Every 2-4 idler source term of the noisy model against the oracle, row by row.
+
+    Under H != V both sides give a distribution over the doubled network's
+    (output, H) then (output, V) rows, and neither is folded.
+    """
 
     @pytest.mark.parametrize("purity", [0.9, 1.0])
     @pytest.mark.parametrize("split", [False, True, 1e-6, 1e-9])
@@ -350,10 +373,12 @@ class TestPairDistribution:
             net_v = net_h
         prep = triad_scan_preparations([theta_for_phase(2.0)], 1.0)[0]
         states = prepare(prep)
-        ((columns, grams),) = _point_blocks(points_of([prep]), net_h, net_v)
+        columns, grams = _point_stack(points_of([prep]), net_h, net_v)
+        rows = 3 if split is False else 6
+        assert columns.shape[-2:] == (rows, 3)
         # An equal but distinct V network takes the plain path.
         twin_v = Network(net_h.matrix.copy())
-        ((twin_columns, twin_grams),) = _point_blocks(points_of([prep]), net_h, twin_v)
+        twin_columns, twin_grams = _point_stack(points_of([prep]), net_h, twin_v)
         for pairs in product(range(5), repeat=3):
             if not 2 <= sum(pairs) <= 4:
                 continue
@@ -361,8 +386,10 @@ class TestPairDistribution:
             if split is False:
                 twin = _idler_distribution(twin_columns, twin_grams, _mixing_weight(purity), pairs)
                 assert np.array_equal(twin[0], dist)
-            reference = oracle_pair_distribution(states, purity, pairs, net_h, net_v)
-            occupations = output_occupations(sum(pairs), 3)
+            reference = oracle_pair_distribution(
+                states, purity, pairs, net_h, None if split is False else net_v
+            )
+            occupations = output_occupations(sum(pairs), rows)
             assert set(reference) <= set(occupations)
             assert math.fsum(dist) == pytest.approx(1.0, abs=1e-12)
             for occ, q in zip(occupations, dist):
