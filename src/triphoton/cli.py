@@ -2,9 +2,13 @@
 
 Subcommands: ``run <config.json>`` executes a scan/simulation described by a
 JSON configuration, ``validate`` runs the oracle-equivalence suite and
-``version`` prints the library version.  Data files are written
-deterministically (17 significant digits, no timestamps); the metadata file
-echoes the fully resolved configuration and is itself a valid configuration.
+``version`` prints the library version.  Every mode of ``run`` ends in one
+writer: the series, in the configuration's ``format``, for the two modes
+that have one, then the metadata file.  Series are written deterministically
+(17 significant digits, no timestamps).  The metadata file echoes the fully
+resolved configuration, a default grid as its explicit range, so it is
+itself a valid configuration that reproduces the run; its ``provenance``
+block holds the mode's report.
 
 ``CONFIG_SCHEMA`` declares the configuration in JSON Schema 2020-12, and
 ``_errors`` checks a configuration against it without a schema library.  The
@@ -40,8 +44,6 @@ from .experiment import (
     DetectionCascade,
     ScanResult,
     _ideal_scan,
-    default_delay_grid,
-    default_phase_grid,
     scan_points,
     simulate_counts,
 )
@@ -301,8 +303,15 @@ def _checked(raw) -> dict:
             if key in blocks and key not in MODE_BLOCKS[mode]
         ]
     if details:
-        raise ConfigError(f"invalid config: {'; '.join(details)}")
+        raise ConfigError(f"invalid config: {'; '.join(map(_elided, details))}")
     return raw
+
+
+def _elided(detail: str) -> str:
+    """``detail`` with all but 200 characters of a long value cut: its path and broken rule stay."""
+    if len(detail) <= 200:
+        return detail
+    return f"{detail[:100]} ...{len(detail) - 200} characters... {detail[-100:]}"
 
 
 def _defaults(cls) -> dict:
@@ -325,6 +334,11 @@ def _resolved(config: dict) -> dict:
         out["preparation"] = prep
         grid = dict(config.get("grid", {}))
         grid.setdefault("kind", "delay" if prep["recipe"] in GRID_RECIPES["delay"] else "triad")
+        if "values" not in grid and "points" not in grid:
+            # Echoed as the range it runs, so the metadata reproduces the run alone.
+            reach = 12.0 * prep["sigma"]
+            default = {"delay": (-reach, reach, 61), "triad": (0.0, 2.0 * math.pi, 33)}
+            grid.update(zip(("start", "stop", "points"), default[grid["kind"]]))
         out["grid"] = grid
     if mode == "experiment":
         out["source"] = {**_defaults(SourceParams), **config.get("source", {})}
@@ -341,20 +355,11 @@ def _resolved(config: dict) -> dict:
     return out
 
 
-def _grid_values(grid: dict, sigma: float) -> np.ndarray:
+def _grid_values(grid: dict) -> np.ndarray:
     if "values" in grid:
         return np.asarray(grid["values"], dtype=float)
-    if "points" in grid:
-        # Python ints beyond int64 would make an object array.
-        return np.linspace(float(grid["start"]), float(grid["stop"]), grid["points"])
-    if grid["kind"] == "delay":
-        return default_delay_grid(sigma)
-    return default_phase_grid()
-
-
-def _parse_matrix(rows) -> Network:
-    m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return Network(m)
+    # Python ints beyond int64 would make an object array.
+    return np.linspace(float(grid["start"]), float(grid["stop"]), grid["points"])
 
 
 def write_series(result: ScanResult, path: Path, fmt: str) -> None:
@@ -379,20 +384,17 @@ def write_series(result: ScanResult, path: Path, fmt: str) -> None:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_metadata(path: Path, resolved: dict, extra: dict) -> None:
-    payload = dict(resolved)
-    payload["provenance"] = {
-        "library_version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        **extra,
-    }
+def _write_metadata(path: Path, resolved: dict, report: dict) -> None:
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    provenance = {"library_version": __version__, "timestamp": now, **report}
+    payload = {**resolved, "provenance": provenance}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _run_scan(resolved: dict) -> ScanResult:
     """The ideal or noisy model on the points of the configured grid."""
     prep, grid = resolved["preparation"], resolved["grid"]
-    values = _grid_values(grid, prep["sigma"])
+    values = _grid_values(grid)
     try:
         points = scan_points(grid["kind"], prep["recipe"], values, prep["sigma"])
     except DomainError as exc:
@@ -406,11 +408,10 @@ def _run_scan(resolved: dict) -> ScanResult:
     networks = {}
     for key, rows in resolved.get("tritter", {}).items():
         try:
-            networks[key] = _parse_matrix(rows)
+            networks[key] = Network(np.array([[complex(*z) for z in row] for row in rows]))
         except DomainError as exc:
             raise ConfigError(f"$.tritter.{key}: {exc}") from exc
-    net_h, net_v = networks.get("h"), networks.get("v")
-    return simulate_counts(points, source, cascade, net_h, net_v)
+    return simulate_counts(points, source, cascade, networks.get("h"), networks.get("v"))
 
 
 def _validate(instances: int, seed: int) -> tuple[dict, int]:
@@ -423,66 +424,50 @@ def _validate(instances: int, seed: int) -> tuple[dict, int]:
     return report, 0 if report["max_deviation"] < 1e-9 else 3
 
 
+def _qubit_analysis(q: dict) -> dict:
+    """The triad phases of three qubit states with the block's overlap moduli; prints the report."""
+    phases = qubit_triad_phase(q["r12"], q["r23"], q["r31"])
+    report = {key: q[key] for key in ("r12", "r23", "r31")}
+    report.update(feasible=bool(phases), qubit_phases=list(phases))
+    if "measured_phi" in q:
+        dist = min((circular_distance(q["measured_phi"], p) for p in phases), default=math.inf)
+        report["measured_phi"] = q["measured_phi"]
+        report["compatible_with_qubit"] = bool(dist <= q["tolerance"])
+        report["distance"] = None if math.isinf(dist) else dist
+    print(json.dumps(report, sort_keys=True))
+    return report
+
+
 @np.errstate(over="raise", invalid="raise", divide="raise")
-def run(config_path: str, out_dir: str | None = None, fmt: str | None = None) -> int:
+def run(config_path: str, out_dir: str | None = None) -> int:
     """Execute a configuration; returns the process exit code.
 
-    numpy's overflow, invalid-value and divide-by-zero results raise during
-    the run, so a non-finite intermediate ends it with exit 3 instead of
-    reaching a data file.
+    Every mode ends the same way: its series, when it has a ``format``, and
+    the metadata file, whose ``provenance`` holds the mode's report.  numpy's
+    overflow, invalid-value and divide-by-zero results raise during the run,
+    so a non-finite intermediate ends it with exit 3 instead of reaching a
+    data file.
     """
     try:
-        config = load_config(config_path)
-        resolved = _resolved(config)
-        mode = resolved["mode"]
-        if fmt:
-            if "format" not in resolved:
-                raise ConfigError(f"--format: {mode} mode writes no series")
-            resolved["format"] = fmt
+        resolved = _resolved(load_config(config_path))
+        mode, prefix = resolved["mode"], resolved["output"]
+        if "format" in resolved:
+            result = _run_scan(resolved)
+            report, code = result.metadata, 0
+        elif mode == "validate":
+            report, code = _validate(**resolved["validation"])
+        else:
+            report, code = _qubit_analysis(resolved["qubit"]), 0
         # Made only once a run has something to write: a rejected run leaves
         # no directory behind.
         directory = Path(out_dir) if out_dir else Path(".")
-        prefix = resolved["output"]
-
-        if mode in ("ideal-scan", "experiment"):
-            result = _run_scan(resolved)
-            directory.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
+        if "format" in resolved:
             series_path = directory / f"{prefix}_series.{resolved['format']}"
             write_series(result, series_path, resolved["format"])
-            _write_metadata(directory / f"{prefix}_metadata.json", resolved, result.metadata)
             print(f"wrote {series_path}")
-            return 0
-
-        if mode == "validate":
-            val = resolved["validation"]
-            report, code = _validate(val["instances"], val["seed"])
-            directory.mkdir(parents=True, exist_ok=True)
-            _write_metadata(directory / f"{prefix}_metadata.json", resolved, report)
-            return code
-
-        # qubit-analysis
-        q = resolved["qubit"]
-        phases = qubit_triad_phase(q["r12"], q["r23"], q["r31"])
-        report = {
-            "r12": q["r12"],
-            "r23": q["r23"],
-            "r31": q["r31"],
-            "feasible": bool(phases),
-            "qubit_phases": list(phases),
-        }
-        if "measured_phi" in q:
-            dist = min(
-                (circular_distance(q["measured_phi"], p) for p in phases), default=math.inf
-            )
-            report["measured_phi"] = q["measured_phi"]
-            report["compatible_with_qubit"] = bool(dist <= q["tolerance"])
-            report["distance"] = None if math.isinf(dist) else dist
-        directory.mkdir(parents=True, exist_ok=True)
-        out_path = directory / f"{prefix}_qubit.json"
-        out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        _write_metadata(directory / f"{prefix}_metadata.json", resolved, {})
-        print(json.dumps(report, sort_keys=True))
-        return 0
+        _write_metadata(directory / f"{prefix}_metadata.json", resolved, report)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -506,7 +491,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="execute a JSON configuration")
     p_run.add_argument("config")
-    p_run.add_argument("--format", choices=["csv", "json"], default=None)
     p_run.add_argument("--out-dir", default=None)
 
     p_val = sub.add_parser("validate", help="run the oracle-equivalence suite")
@@ -529,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         return _validate(validation["instances"], validation["seed"])[1]
-    return run(args.config, args.out_dir, args.format)
+    return run(args.config, args.out_dir)
 
 
 if __name__ == "__main__":

@@ -184,16 +184,6 @@ def scan_points(kind: str, recipe: str, values, sigma: float) -> ScanPoints:
     return ScanPoints("phi", xs, delays, sigmas, pol)
 
 
-def default_delay_grid(sigma: float) -> np.ndarray:
-    """61 symmetric delays over [-12 sigma, 12 sigma]."""
-    return np.linspace(-12.0 * sigma, 12.0 * sigma, 61)
-
-
-def default_phase_grid() -> np.ndarray:
-    """33 collective phases over [0, 2 pi]."""
-    return np.linspace(0.0, 2.0 * math.pi, 33)
-
-
 @dataclass
 class ScanResult:
     """A scan: x-axis values, one series per event in output column order, and run metadata."""
@@ -439,7 +429,10 @@ def simulate_counts(
         c_l * math.comb(l_total + 2, 2) for c in heralded.values() for l_total, c_l in enumerate(c)
     )
     if herald_norm <= 0.0:
-        raise DomainError("no source term ever heralds; increase squeezing or noise")
+        raise DomainError(
+            "no source term ever heralds: each of the three sources needs a pair or a "
+            f"signal noise photon within the photon budgets of {source}"
+        )
 
     names = ["N" + "".join(str(c) for c in pattern) for pattern in cascade.patterns()]
     columns, grams = _point_stack(points, net_h, net_v)

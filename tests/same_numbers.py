@@ -56,7 +56,7 @@ def run_series(config: Path, out_dir: Path) -> tuple[int, str | None]:
     from triphoton.cli import run
 
     with contextlib.redirect_stdout(io.StringIO()):
-        code = run(str(config), out_dir=str(out_dir), fmt="csv")
+        code = run(str(config), out_dir=str(out_dir))
     series = out_dir / "run_series.csv"
     return code, series.read_text() if series.exists() else None
 

@@ -156,7 +156,11 @@ class TestConfigValidation:
         cfg = dict(IDEAL_TRIAD, grid={"kind": "triad", "values": values})
         path = write_config(tmp_path / "bad.json", cfg)
         assert run(path, out_dir=str(tmp_path / "bad")) == 2
-        assert "$.grid.values" in capsys.readouterr().err
+        # The 50 KB value is cut in the middle: its path and rule stay.
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert "$.grid.values: [0.0, 0.0001, " in err
+        assert err.endswith(" 0.9999, 1.0] is too long\n")
         assert not (tmp_path / "bad").exists()
         cfg["grid"]["values"] = values[:10000]
         path = write_config(tmp_path / "cfg.json", cfg)
@@ -243,12 +247,20 @@ class TestConfigValidation:
         assert list(tmp_path.iterdir()) == [tmp_path / "bad.json"]
 
     @pytest.mark.parametrize(
-        "cfg", [{"mode": "validate"}, {"mode": "qubit-analysis", "qubit": VALID_BLOCKS["qubit"]}]
+        "cfg",
+        [
+            {"mode": "validate"},
+            {"mode": "qubit-analysis", "qubit": VALID_BLOCKS["qubit"]},
+            IDEAL_TRIAD,
+        ],
     )
     def test_format_flag_rejected_without_series(self, tmp_path, capsys, cfg):
+        # A config's format is the only format setting: no mode takes a flag.
         path = write_config(tmp_path / "bad.json", cfg)
-        assert run(path, out_dir=str(tmp_path), fmt="json") == 2
-        assert f"--format: {cfg['mode']} mode writes no series" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(["run", path, "--format", "json", "--out-dir", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "bad.json"]
 
     def test_photon_budget_cap_is_the_engine_cap(self):
@@ -291,6 +303,15 @@ class TestConfigValidation:
                 },
                 3,
                 "numerical",
+            ),
+            # Three heralds need three photons, pairs or signal noise photons:
+            # the message names the parameters that rule them out.
+            pytest.param(
+                {"mode": "experiment", "source": {"truncation_total_photons": 2}},
+                2,
+                "squeezing=0.16, purity=0.9, p_noise_idler=0.035, p_noise_signal=0.009, "
+                "truncation_total_photons=2, truncation_noise_photons=3",
+                id="never-heralds",
             ),
         ],
     )
@@ -352,13 +373,29 @@ class TestIdealScanRun:
         ).read_bytes()
 
     def test_metadata_round_trip(self, tmp_path):
-        path = write_config(tmp_path / "cfg.json", IDEAL_TRIAD)
-        run(path, out_dir=str(tmp_path / "a"))
-        meta = tmp_path / "a/demo_metadata.json"
-        assert run(str(meta), out_dir=str(tmp_path / "b")) == 0
-        assert (tmp_path / "a/demo_series.csv").read_bytes() == (
-            tmp_path / "b/demo_series.csv"
-        ).read_bytes()
+        # A grid with no range echoes the one it ran: 61 delays over
+        # [-12 sigma, 12 sigma] or 33 phases over [0, 2 pi].
+        cases = [
+            (IDEAL_TRIAD, IDEAL_TRIAD["grid"]),
+            (
+                {"mode": "ideal-scan", "preparation": {"recipe": "all_H", "sigma": 1.7}},
+                {"kind": "delay", "start": -12 * 1.7, "stop": 12 * 1.7, "points": 61},
+            ),
+            (
+                {"mode": "experiment", "preparation": {"recipe": "dynamic", "sigma": 0.3}},
+                {"kind": "triad", "start": 0.0, "stop": 2 * math.pi, "points": 33},
+            ),
+        ]
+        for i, (cfg, grid) in enumerate(cases):
+            cfg = dict(cfg, output="demo")
+            a, b = tmp_path / f"a{i}", tmp_path / f"b{i}"
+            assert run(write_config(tmp_path / f"cfg{i}.json", cfg), out_dir=str(a)) == 0
+            meta = json.loads((a / "demo_metadata.json").read_text())
+            assert meta["grid"] == grid
+            assert run(str(a / "demo_metadata.json"), out_dir=str(b)) == 0
+            series = (a / "demo_series.csv").read_bytes()
+            assert series == (b / "demo_series.csv").read_bytes()
+            assert len(series.splitlines()) == 1 + grid["points"]
 
     def test_json_format(self, tmp_path):
         cfg = dict(IDEAL_TRIAD)
@@ -449,10 +486,13 @@ class TestOtherModes:
             "output": "q",
         }
         path = write_config(tmp_path / "cfg.json", cfg)
-        assert run(path, out_dir=str(tmp_path)) == 0
-        report = json.loads((tmp_path / "q_qubit.json").read_text())
+        assert run(path, out_dir=str(tmp_path / "out")) == 0
+        # The one file is the metadata, and its provenance is the report.
+        assert list((tmp_path / "out").iterdir()) == [tmp_path / "out" / "q_metadata.json"]
+        report = json.loads((tmp_path / "out" / "q_metadata.json").read_text())["provenance"]
         assert report["feasible"] is True
         assert report["qubit_phases"] == [pytest.approx(math.pi)]
+        assert report["distance"] == pytest.approx(0.0, abs=1e-12)
         assert report["compatible_with_qubit"] is True
 
     def test_qubit_infeasible(self, tmp_path):
@@ -462,9 +502,12 @@ class TestOtherModes:
             "output": "q",
         }
         path = write_config(tmp_path / "cfg.json", cfg)
-        assert run(path, out_dir=str(tmp_path)) == 0
-        report = json.loads((tmp_path / "q_qubit.json").read_text())
+        assert run(path, out_dir=str(tmp_path / "out")) == 0
+        assert list((tmp_path / "out").iterdir()) == [tmp_path / "out" / "q_metadata.json"]
+        report = json.loads((tmp_path / "out" / "q_metadata.json").read_text())["provenance"]
         assert report["feasible"] is False
+        assert report["qubit_phases"] == []
+        assert "distance" not in report
 
 
 class TestMainEntry:

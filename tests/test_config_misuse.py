@@ -264,8 +264,8 @@ def test_extreme_inputs(config, code, tmp_path, capsys):
     if code == 2 and isinstance(config, str):
         assert "has no finite float" in capsys.readouterr().err
     if code == 0 and config["mode"] == "qubit-analysis":
-        report = json.loads((tmp_path / "out" / "run_qubit.json").read_text(encoding="utf-8"))
-        assert report["feasible"] is False
+        metadata = json.loads((tmp_path / "out" / "run_metadata.json").read_text(encoding="utf-8"))
+        assert metadata["provenance"]["feasible"] is False
     elif code == 0:
         assert (tmp_path / "out" / f"{config['output']}_series.csv").exists()
 

@@ -12,7 +12,6 @@ from triphoton.experiment import (
     DetectionCascade,
     Preparation,
     ScanResult,
-    default_phase_grid,
     delay_condition,
     delay_scan_preparations,
     phase_for_theta,
@@ -54,6 +53,9 @@ NO_SPLITTERS = ("none", "none", "none")
 BEAMSPLITTERS_1_3 = ("beamsplitter_2way", "none", "beamsplitter_2way")
 TRITTER_1 = ("tritter_3way", "none", "none")
 PERFECT_DETECTORS = DetectionCascade(NO_SPLITTERS, 1.0)
+
+# The grid of a triad run that states no range: 33 phases over [0, 2 pi].
+PHASE_GRID = np.linspace(0.0, 2.0 * math.pi, 33)
 
 IDEAL_SOURCE = SourceParams(
     squeezing=0.16,
@@ -237,7 +239,7 @@ class TestIdealScans:
         "kind, recipe", [("delay", "all_H"), ("delay", "static_pi"), ("triad", "dynamic")]
     )
     def test_stack_is_every_point_gram(self, kind, recipe, sigma):
-        grid = np.linspace(-12 * sigma, 12 * sigma, 61) if kind == "delay" else default_phase_grid()
+        grid = np.linspace(-12 * sigma, 12 * sigma, 61) if kind == "delay" else PHASE_GRID
         for values in (grid, grid[:0]):
             if kind == "delay":
                 preps = delay_scan_preparations(recipe, values, sigma)
@@ -267,7 +269,7 @@ class TestIdealScans:
         assert not hasattr(experiment, "gram_matrix")
         for config in sorted(CORPUS.glob("*.json")):
             assert cli.run(str(config), out_dir=str(tmp_path / config.stem)) == 0, config.stem
-        assert len(scan_triad(default_phase_grid(), 1.0).x_values) == 33
+        assert len(scan_triad(PHASE_GRID, 1.0).x_values) == 33
         assert len(scan_delays("static_pi", [0.0, 1.0], 1.0).x_values) == 2
         for net_v in (None, perturbed_tritter()):
             for points in (
@@ -517,7 +519,7 @@ class TestSimulateCounts:
         # fit of degree P // 3, P = total budget // 2 the most pair idlers.
         total, noise = budget
         source = SourceParams(truncation_total_photons=total, truncation_noise_photons=noise)
-        phis = default_phase_grid()
+        phis = PHASE_GRID
         counts = simulate_counts(scan_points("triad", "dynamic", phis, 1.0), source, cascade)
         harmonics = np.outer(phis, np.arange(1, (total // 2) // 3 + 1))
         basis = np.column_stack([np.ones_like(phis), np.cos(harmonics), np.sin(harmonics)])
