@@ -278,11 +278,22 @@ def _flag_number(name: str, text: str) -> float | int:
         raise ConfigError(f"--{name}: {exc}") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is an error, not its last value."""
+    value = {}
+    for key, item in pairs:
+        if key in value:
+            raise ConfigError(f"key {key!r} appears more than once in an object")
+        value[key] = item
+    return value
+
+
 def load_config(path: str | Path) -> dict:
     """Read and schema-validate a configuration file; numbers with no finite float are rejected."""
+    numbers = dict.fromkeys(("parse_float", "parse_int", "parse_constant"), _number)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=_number, parse_int=_number, parse_constant=_number)
+            raw = json.load(fh, object_pairs_hook=_unique_keys, **numbers)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -303,7 +314,9 @@ def _checked(raw) -> dict:
             if key in blocks and key not in MODE_BLOCKS[mode]
         ]
     if details:
-        raise ConfigError(f"invalid config: {'; '.join(map(_elided, details))}")
+        # At most ten details, each cut to 200 characters: 10000 bad values stay one short line.
+        more = f"; ... and {len(details) - 10} more" if len(details) > 10 else ""
+        raise ConfigError(f"invalid config: {'; '.join(map(_elided, details[:10]))}{more}")
     return raw
 
 

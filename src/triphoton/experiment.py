@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -82,18 +82,18 @@ class Preparation:
             raise DomainError(f"the {self.recipe} recipe reads no rotation angle theta")
 
 
-def _polarizations(recipe: str, theta: float | None) -> list[tuple[complex, complex]]:
-    """The (H, V) amplitudes of the three photons of ``recipe`` (see :func:`prepare`)."""
+def _polarizations(recipe: str, theta) -> np.ndarray:
+    """(H, V) amplitudes of ``recipe``'s photons: ``(3, 2)`` per angle ``theta``, float or array."""
     if recipe == "all_H":
-        return [(1.0, 0.0)] * 3
+        return np.array([(1.0, 0.0)] * 3, dtype=complex)
     if recipe == "static_pi":
-        return [(1.0, 0.0), (0.5, 0.5 * SQRT3), (0.5, -0.5 * SQRT3)]
-    two_theta = 2.0 * float(theta)
-    return [
-        (math.cos(two_theta), 1j * math.sin(two_theta)),
-        (0.5 * SQRT3, 0.5),
-        (0.5 * SQRT3, -0.5),
-    ]
+        return np.array([(1.0, 0.0), (0.5, 0.5 * SQRT3), (0.5, -0.5 * SQRT3)], dtype=complex)
+    two_theta = 2.0 * np.asarray(theta, dtype=float)
+    pol = np.empty(two_theta.shape + (3, 2), dtype=complex)
+    pol[..., 0, 0] = np.cos(two_theta)
+    pol[..., 0, 1] = 1j * np.sin(two_theta)
+    pol[..., 1:, :] = [(0.5 * SQRT3, 0.5), (0.5 * SQRT3, -0.5)]
+    return pol
 
 
 def prepare(prep: Preparation) -> list[InternalState]:
@@ -112,24 +112,24 @@ def prepare(prep: Preparation) -> list[InternalState]:
     ]
 
 
-def delay_condition(theta: float, sigma: float) -> float:
+def delay_condition(theta, sigma):
     """Delay magnitude keeping all three overlap moduli at 1/2 in the dynamic recipe.
 
-    |t1 - t2| = |t1 - t3| = sigma * sqrt(2 * ln(2 + cos(4 theta))) with t2 = t3.
+    |t1 - t2| = |t1 - t3| = sigma * sqrt(2 * ln(2 + cos(4 theta))) with t2 = t3 (floats or arrays).
     """
-    return sigma * math.sqrt(2.0 * math.log(2.0 + math.cos(4.0 * theta)))
+    return sigma * np.sqrt(2.0 * np.log(2.0 + np.cos(4.0 * theta)))
 
 
-def phase_for_theta(theta: float) -> float:
-    """Collective phase realised by the dynamic recipe at rotation angle theta."""
+def phase_for_theta(theta):
+    """Collective phase realised by the dynamic recipe at rotation angle theta (float or array)."""
     two_theta = 2.0 * theta
-    return (2.0 * math.atan2(math.sin(two_theta), SQRT3 * math.cos(two_theta))) % (2.0 * math.pi)
+    return (2.0 * np.arctan2(np.sin(two_theta), SQRT3 * np.cos(two_theta))) % (2.0 * math.pi)
 
 
-def theta_for_phase(phi: float) -> float:
-    """Rotation angle of the dynamic recipe realising collective phase phi."""
+def theta_for_phase(phi):
+    """Rotation angle of the dynamic recipe realising collective phase phi (float or array)."""
     half = 0.5 * phi
-    return 0.5 * math.atan2(SQRT3 * math.sin(half), math.cos(half))
+    return 0.5 * np.arctan2(SQRT3 * np.sin(half), np.cos(half))
 
 
 def delay_scan_preparations(recipe: str, tau_values, sigma: float) -> list[Preparation]:
@@ -143,13 +143,8 @@ def delay_scan_preparations(recipe: str, tau_values, sigma: float) -> list[Prepa
 def triad_scan_preparations(theta_values, sigma: float) -> list[Preparation]:
     """Dynamic-recipe scan with the delay condition at every angle.  No run builds it."""
     return [
-        Preparation(
-            "dynamic",
-            delays=(delay_condition(float(theta), sigma), 0.0, 0.0),
-            sigma=sigma,
-            theta=float(theta),
-        )
-        for theta in theta_values
+        Preparation("dynamic", delays=(delay_condition(t, sigma), 0.0, 0.0), sigma=sigma, theta=t)
+        for t in map(float, theta_values)
     ]
 
 
@@ -163,9 +158,9 @@ def scan_points(kind: str, recipe: str, values, sigma: float) -> ScanPoints:
 
     A grid scans only its ``GRID_RECIPES``.  Delay grids hold symmetric delays
     ``tau``; triad grids hold collective phases ``phi``, each realised at the
-    rotation angle :func:`theta_for_phase` gives.  Per-point scalars go through
-    ``math`` on Python floats (``np.exp`` and ``np.log`` may round differently),
-    so each point equals its ``*_scan_preparations`` reference bit for bit.
+    rotation angle :func:`theta_for_phase` gives.  Angle, delay and amplitudes
+    take one call each per grid, and give a float the bits of an array
+    element, so each point equals its ``*_scan_preparations`` reference.
     """
     if recipe not in GRID_RECIPES.get(kind, ()):
         scanned = " or ".join(GRID_RECIPES.get(kind, ())) or "no recipe"
@@ -174,14 +169,12 @@ def scan_points(kind: str, recipe: str, values, sigma: float) -> ScanPoints:
     sigmas = np.full((len(xs), 3), float(sigma))
     if kind == "delay":
         delays = np.stack([-0.5 * xs, np.zeros_like(xs), 0.5 * xs], axis=1)
-        table = np.array(_polarizations(recipe, None), dtype=complex)
-        return ScanPoints("tau", xs, delays, sigmas, np.broadcast_to(table, (len(xs), 3, 2)))
-    thetas = [theta_for_phase(phi) for phi in xs.tolist()]
+        pol = np.broadcast_to(_polarizations(recipe, None), (len(xs), 3, 2))
+        return ScanPoints("tau", xs, delays, sigmas, pol)
+    thetas = theta_for_phase(xs)
     delays = np.zeros((len(xs), 3))
-    delays[:, 0] = [delay_condition(t, sigma) for t in thetas]
-    amplitudes = chain.from_iterable(chain.from_iterable(_polarizations(recipe, t)) for t in thetas)
-    pol = np.fromiter(amplitudes, dtype=complex, count=6 * len(xs)).reshape(-1, 3, 2)
-    return ScanPoints("phi", xs, delays, sigmas, pol)
+    delays[:, 0] = delay_condition(thetas, sigma)
+    return ScanPoints("phi", xs, delays, sigmas, _polarizations(recipe, thetas))
 
 
 @dataclass

@@ -18,7 +18,7 @@ insensitive to the choice, which is cross-checked against the Fock oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -59,10 +59,6 @@ class PolarizationState:
         if not abs(norm - 1.0) <= 1e-12:
             raise DomainError(f"polarisation norm^2 deviates from 1 by {abs(norm - 1.0):.3e}")
 
-    @staticmethod
-    def horizontal() -> "PolarizationState":
-        return PolarizationState(1.0, 0.0)
-
 
 @dataclass(frozen=True)
 class InternalState:
@@ -73,7 +69,7 @@ class InternalState:
     """
 
     temporal: GaussianTemporalMode
-    polarization: PolarizationState = field(default_factory=PolarizationState.horizontal)
+    polarization: PolarizationState = PolarizationState(1.0, 0.0)
 
 
 def temporal_overlap(a: GaussianTemporalMode, b: GaussianTemporalMode) -> complex:
@@ -85,7 +81,7 @@ def temporal_overlap(a: GaussianTemporalMode, b: GaussianTemporalMode) -> comple
     if a.sigma != b.sigma:
         raise UnsupportedModePair(f"Gaussian modes must share sigma (got {a.sigma}/{b.sigma})")
     dt = a.delay - b.delay
-    return complex(math.exp(-(dt * dt) / (4.0 * a.sigma * a.sigma)))
+    return complex(np.exp(-(dt * dt) / (4.0 * a.sigma * a.sigma)))
 
 
 def overlap(a: InternalState, b: InternalState) -> complex:
@@ -133,10 +129,8 @@ def _overlap_stack(delays, sigmas, polarizations) -> np.ndarray:
     ``delays`` and ``sigmas`` are ``(P, n)``, ``polarizations`` holds the
     ``(H, V)`` amplitudes as ``(P, n, 2)``.  Each entry above the diagonal
     takes the operations of :func:`overlap` in the same order, so it equals
-    that function's value to the last bit: the exponent in numpy, its
-    exponential through ``math.exp`` (``np.exp`` rounds differently in the
-    last bit for a few per cent of inputs) and the polarisation factor
-    elementwise, each complex product spelled out in real arithmetic.
+    that function's value to the last bit: the ``np.exp`` of :func:`temporal_overlap`,
+    and the polarisation factor with each complex product spelled out in real arithmetic.
     """
     delays = np.asarray(delays, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
@@ -166,8 +160,7 @@ def _overlap_stack(delays, sigmas, polarizations) -> np.ndarray:
     # since a width whose square underflows to 0 or overflows has no overlap.
     with np.errstate(over="ignore", invalid="raise", divide="raise"):
         dt = delays[:, j] - delays[:, k]
-        exponent = -(dt * dt) / (4.0 * sigmas[:, j] * sigmas[:, j])
-    temporal = np.array([math.exp(x) for x in exponent.ravel().tolist()]).reshape(dt.shape)
+        temporal = np.exp(-(dt * dt) / (4.0 * sigmas[:, j] * sigmas[:, j]))
     # Rounded as a scalar complex product rounds: numpy's vectorised complex
     # multiply may fuse a multiply and an add, which moves the last bit.
     a, b = pol[:, j], pol[:, k].conj()

@@ -168,6 +168,35 @@ class TestConfigValidation:
         series = (tmp_path / "out" / "demo_series.csv").read_text().splitlines()
         assert len(series) == 1 + 10000
 
+    def test_many_details_bounded(self, tmp_path, capsys):
+        # One detail per bad value: the first ten are listed, the rest counted.
+        cfg = dict(IDEAL_TRIAD, grid={"kind": "triad", "values": ["a"] * 10000})
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path / "bad")) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert err.count("$.grid.values[") == 10
+        assert err.endswith("is not of type 'number'; ... and 9990 more\n")
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"mode": "ideal-scan", "grid": {"values": [0, 1], "values": [2]}}', "values"),
+            ('{"mode": "ideal-scan", "output": "a", "output": "b"}', "output"),
+            ('{"mode": "experiment", "source": {"purity": 0.9, "purity": 0.9}}', "purity"),
+        ],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, capsys, text, key):
+        # Plain JSON keeps the last value: the first case would run tau = 2 alone.
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"key '{key}' appears more than once"):
+            load_config(path)
+        assert run(str(path), out_dir=str(tmp_path / "bad")) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize(
         "mode, block",
         [(m, b) for m in MODE_BLOCKS for b in VALID_BLOCKS if b not in MODE_BLOCKS[m]],

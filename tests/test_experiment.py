@@ -340,6 +340,18 @@ class TestScanPreparations:
         assert points.x_values.tolist() == values.tolist()
         assert_same_points(points, points_of(reference))
 
+    @pytest.mark.parametrize("points", [0, 1, 33, 10000])
+    def test_one_call_per_grid(self, monkeypatch, points):
+        # The per-point formulas take the whole grid at once, whatever its length.
+        calls = []
+        for name in ("theta_for_phase", "delay_condition", "_polarizations"):
+            original = getattr(experiment, name)
+            counted = lambda *args, _name=name, _fn=original: calls.append(_name) or _fn(*args)
+            monkeypatch.setattr(experiment, name, counted)
+        grid = scan_points("triad", "dynamic", np.linspace(0.0, 2 * math.pi, points), 1.0)
+        assert sorted(calls) == ["_polarizations", "delay_condition", "theta_for_phase"]
+        assert grid.polarizations.shape == (points, 3, 2)
+
     @pytest.mark.parametrize(
         "kind, recipe",
         [("delay", "dynamic"), ("triad", "all_H"), ("triad", "static_pi"), ("phase", "all_H")],
