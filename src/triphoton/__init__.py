@@ -22,7 +22,8 @@ Every probability depends on the Gram matrix only through its moduli and the
 triad phase, so neither the internal states nor a grid's points take a
 parameter that only re-phases the photons, such as a carrier frequency.  The
 one temporal family is the delayed Gaussian: a recipe, the temporal width
-and the scanned delay or collective phase fix each point.
+and the scanned delay or collective phase fix each point; the width, one
+per run, is the unit of delay.
 """
 
 __version__ = "0.1.0"

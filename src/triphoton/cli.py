@@ -303,7 +303,8 @@ def load_config(path: str | Path) -> dict:
 
 def _checked(raw) -> dict:
     """``raw`` if it satisfies the schema and holds only blocks its mode reads."""
-    details = [f"{path}: {message}" for path, message in sorted(_errors(raw, CONFIG_SCHEMA))]
+    # In the order of _errors, which lists array items by ascending index.
+    details = [f"{path}: {message}" for path, message in _errors(raw, CONFIG_SCHEMA)]
     mode = raw.get("mode") if isinstance(raw, dict) else None
     # A list, not the dict: an unhashable mode is a schema error, not a TypeError.
     if mode in list(MODE_BLOCKS):

@@ -148,9 +148,9 @@ def triad_scan_preparations(theta_values, sigma: float) -> list[Preparation]:
     ]
 
 
-# A grid's x axis name and values, and its points as ``gram_stack`` takes them:
-# ``(P, 3)`` delays and widths, and ``(P, 3, 2)`` (H, V) polarisation amplitudes.
-ScanPoints = namedtuple("ScanPoints", "x_name x_values delays sigmas polarizations")
+# A grid's x axis name and values, and its points as ``gram_stack`` takes them: ``(P, 3)``
+# delays, the run's one width ``sigma`` (their unit) and ``(P, 3, 2)`` (H, V) amplitudes.
+ScanPoints = namedtuple("ScanPoints", "x_name x_values delays sigma polarizations")
 
 
 def scan_points(kind: str, recipe: str, values, sigma: float) -> ScanPoints:
@@ -158,23 +158,23 @@ def scan_points(kind: str, recipe: str, values, sigma: float) -> ScanPoints:
 
     A grid scans only its ``GRID_RECIPES``.  Delay grids hold symmetric delays
     ``tau``; triad grids hold collective phases ``phi``, each realised at the
-    rotation angle :func:`theta_for_phase` gives.  Angle, delay and amplitudes
-    take one call each per grid, and give a float the bits of an array
-    element, so each point equals its ``*_scan_preparations`` reference.
+    rotation angle :func:`theta_for_phase` gives; every photon has the width
+    ``sigma``.  Angle, delay and amplitudes take one call each per grid, and
+    give a float the bits of an array element, so each point equals its
+    ``*_scan_preparations`` reference.
     """
     if recipe not in GRID_RECIPES.get(kind, ()):
         scanned = " or ".join(GRID_RECIPES.get(kind, ())) or "no recipe"
         raise DomainError(f"a {kind} grid scans {scanned}, not {recipe!r}")
     xs = np.fromiter(values, dtype=float)
-    sigmas = np.full((len(xs), 3), float(sigma))
     if kind == "delay":
         delays = np.stack([-0.5 * xs, np.zeros_like(xs), 0.5 * xs], axis=1)
         pol = np.broadcast_to(_polarizations(recipe, None), (len(xs), 3, 2))
-        return ScanPoints("tau", xs, delays, sigmas, pol)
+        return ScanPoints("tau", xs, delays, float(sigma), pol)
     thetas = theta_for_phase(xs)
     delays = np.zeros((len(xs), 3))
     delays[:, 0] = delay_condition(thetas, sigma)
-    return ScanPoints("phi", xs, delays, sigmas, _polarizations(recipe, thetas))
+    return ScanPoints("phi", xs, delays, float(sigma), _polarizations(recipe, thetas))
 
 
 @dataclass
@@ -373,10 +373,10 @@ def _point_stack(
     the network's; otherwise a ``(P, 6, 3)`` stack of each point's H rows over
     its V rows, weighted by its polarisation amplitudes, with temporal Grams.
     """
-    delays, sigmas, pol = points.delays, points.sigmas, points.polarizations
+    delays, sigma, pol = points.delays, points.sigma, points.polarizations
     if np.array_equal(net_h.matrix, net_v.matrix):
-        return net_h.matrix, gram_stack(delays, sigmas, pol)
-    temporal = gram_stack(delays, sigmas, np.broadcast_to([1.0, 0.0], pol.shape))
+        return net_h.matrix, gram_stack(delays, sigma, pol)
+    temporal = gram_stack(delays, sigma, np.broadcast_to([1.0, 0.0], pol.shape))
     columns = np.stack([net_h.matrix, net_v.matrix]) * pol.swapaxes(1, 2)[:, :, None]
     return columns.reshape(len(pol), 6, 3), temporal
 

@@ -3,10 +3,10 @@
 A photon's internal state factorises into a temporal mode (a delayed Gaussian
 wavepacket) and a polarisation qubit, the two degrees of freedom that set
 every distinguishability in the experiment.  Pairwise overlaps are exact
-products of the two factors' overlaps; from them we build Gram matrices, one
-point or a ``(P, n, n)`` stack of points validated at once (:func:`gram_stack`),
-and the collective phase of a photon triple.  Every check compares as
-``not err <= tol``, so a NaN fails it.
+products of the two factors' overlaps, a point's delays in units of its one
+width; from them we build Gram matrices, one point or a ``(P, n, n)`` stack
+validated at once (:func:`gram_stack`), and the collective phase of a photon
+triple.  Every check compares as ``not err <= tol``, so a NaN fails it.
 
 Scalar products are paired as ``sum_k a_k * conj(b_k)`` (first argument
 unconjugated).  With this pairing the polarisation recipes used in the
@@ -32,11 +32,10 @@ TWO_PI = 2.0 * math.pi
 class GaussianTemporalMode:
     """Gaussian wavepacket delayed by ``delay``.
 
-    ``sigma`` is the standard deviation of the temporal amplitude.  Two modes
-    of this family overlap as ``exp(-dt**2 / (4 sigma**2))`` with
-    ``dt = t1 - t2``; the self-overlap is exactly 1.  There is no carrier
-    frequency: a common carrier only re-phases the Gram matrix, and no
-    probability depends on that.
+    ``sigma``, the standard deviation of the temporal amplitude, is the unit
+    of delay: two modes of this family overlap as ``exp(-dt**2 / 4)`` with
+    ``dt = (t1 - t2) / sigma``; the self-overlap is exactly 1.  There is no
+    carrier frequency: a common carrier only re-phases the Gram matrix.
     """
 
     delay: float
@@ -75,13 +74,13 @@ class InternalState:
 def temporal_overlap(a: GaussianTemporalMode, b: GaussianTemporalMode) -> complex:
     """Overlap of two delayed copies of the same Gaussian wavepacket.
 
-    Requires equal widths (only the identical-spectrum case has this closed
-    form).  Returns ``exp(-dt**2 / (4 sigma**2))`` with ``dt = a.delay - b.delay``.
+    Requires equal widths, the identical-spectrum case that has this closed
+    form: ``exp(-dt**2 / 4)`` with ``dt = (a.delay - b.delay) / sigma``.
     """
     if a.sigma != b.sigma:
         raise UnsupportedModePair(f"Gaussian modes must share sigma (got {a.sigma}/{b.sigma})")
-    dt = a.delay - b.delay
-    return complex(np.exp(-(dt * dt) / (4.0 * a.sigma * a.sigma)))
+    dt = (a.delay - b.delay) / a.sigma
+    return complex(np.exp(-(dt * dt) / 4.0))
 
 
 def overlap(a: InternalState, b: InternalState) -> complex:
@@ -123,44 +122,40 @@ class GramMatrix:
         object.__setattr__(self, "entries", m)
 
 
-def _overlap_stack(delays, sigmas, polarizations) -> np.ndarray:
+def _overlap_stack(delays, sigma, polarizations) -> np.ndarray:
     """Unchecked ``(P, n, n)`` overlaps of P points of n photons each.
 
-    ``delays`` and ``sigmas`` are ``(P, n)``, ``polarizations`` holds the
-    ``(H, V)`` amplitudes as ``(P, n, 2)``.  Each entry above the diagonal
-    takes the operations of :func:`overlap` in the same order, so it equals
-    that function's value to the last bit: the ``np.exp`` of :func:`temporal_overlap`,
-    and the polarisation factor with each complex product spelled out in real arithmetic.
+    ``delays`` are ``(P, n)``, ``sigma`` each point's one width (a float or
+    ``(P,)``) and ``polarizations`` the ``(H, V)`` amplitudes ``(P, n, 2)``.
+    Each entry above the diagonal takes the operations of :func:`overlap` in
+    the same order, so it equals that function's value to the last bit, the
+    polarisation factor's complex products spelled out in real arithmetic.
     """
     delays = np.asarray(delays, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
     pol = np.asarray(polarizations, dtype=complex)
-    if delays.ndim != 2 or delays.shape[1] < 1 or sigmas.shape != delays.shape:
-        raise DomainError("need (P, n) delays and sigmas with n >= 1")
+    if delays.ndim != 2 or delays.shape[1] < 1:
+        raise DomainError("need (P, n) delays with n >= 1")
+    p, n = delays.shape
+    if sigma.shape not in ((), (p,)):
+        raise DomainError(f"need one width per point, a float or ({p},), got {sigma.shape}")
     if pol.shape != delays.shape + (2,):
         raise DomainError(f"need {delays.shape + (2,)} polarisation amplitudes, got {pol.shape}")
-    p, n = delays.shape
-    if not (sigmas > 0.0).all():
-        raise DomainError(f"sigma must be positive, got {sigmas[~(sigmas > 0.0)][0]}")
-    norm = np.abs(pol[..., 0]) ** 2 + np.abs(pol[..., 1]) ** 2
-    if not np.abs(norm - 1.0).max(initial=0.0) <= 1e-12:
-        raise DomainError(
-            f"polarisation norm^2 deviates from 1 by {np.abs(norm - 1.0).max():.3e}"
-        )
-    unequal = sigmas != sigmas[:, :1]
-    if unequal.any():
-        point, photon = np.argwhere(unequal)[0]
-        raise UnsupportedModePair(
-            f"Gaussian modes must share sigma (got {sigmas[point, 0]}/{sigmas[point, photon]})"
-        )
+    # A subnormal width has lost digits, and delays in its units would too.
+    normal = (sigma >= np.finfo(float).smallest_normal) & (sigma <= np.finfo(float).max)
+    if not normal.all():
+        raise DomainError(f"sigma must be a positive normal float, got {sigma[~normal].flat[0]}")
+    deviation = np.abs(np.abs(pol[..., 0]) ** 2 + np.abs(pol[..., 1]) ** 2 - 1.0).max(initial=0.0)
+    if not deviation <= 1e-12:
+        raise DomainError(f"polarisation norm^2 deviates from 1 by {deviation:.3e}")
     # Each pair j < k once; np.triu_indices would take about a third of a one-point call.
     j, k = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
-    # A delay difference or its square may overflow to inf, whose exponential
-    # is exactly 0 (as in Python floats); 0/0, inf/inf and x/0 still raise,
-    # since a width whose square underflows to 0 or overflows has no overlap.
-    with np.errstate(over="ignore", invalid="raise", divide="raise"):
-        dt = delays[:, j] - delays[:, k]
-        temporal = np.exp(-(dt * dt) / (4.0 * sigmas[:, j] * sigmas[:, j]))
+    # A delay difference, its ratio to the width or the square of that may
+    # overflow to inf, whose exponential is exactly 0 (as in Python floats);
+    # inf - inf still raises.
+    with np.errstate(over="ignore", invalid="raise"):
+        dt = (delays[:, j] - delays[:, k]) / sigma.reshape(-1, 1)
+        temporal = np.exp(-(dt * dt) / 4.0)
     # Rounded as a scalar complex product rounds: numpy's vectorised complex
     # multiply may fuse a multiply and an add, which moves the last bit.
     a, b = pol[:, j], pol[:, k].conj()
@@ -174,29 +169,31 @@ def _overlap_stack(delays, sigmas, polarizations) -> np.ndarray:
     return m
 
 
-def gram_stack(delays, sigmas, polarizations) -> np.ndarray:
+def gram_stack(delays, sigma, polarizations) -> np.ndarray:
     """Gram matrices of P points of n photons each, as one read-only ``(P, n, n)`` stack.
 
-    ``delays`` and ``sigmas`` are ``(P, n)`` and ``polarizations`` the
-    ``(H, V)`` amplitudes ``(P, n, 2)`` of delayed-Gaussian x polarisation
-    product states.  Every point equals ``gram_matrix`` of its states bit for
-    bit, and the stack is validated as a whole, with one batched
-    eigendecomposition: one bad point fails it with the error
-    :class:`GramMatrix` would raise.
+    The delayed-Gaussian x polarisation product states of :func:`_overlap_stack`,
+    whose widths must be positive normal floats.  Every point equals
+    ``gram_matrix`` of its states bit for bit, and the stack is validated as a
+    whole, with one batched eigendecomposition: one bad point fails it with
+    the error :class:`GramMatrix` would raise.
     """
-    m = _overlap_stack(delays, sigmas, polarizations)
+    m = _overlap_stack(delays, sigma, polarizations)
     _check_gram(m)
     m.flags.writeable = False
     return m
 
 
 def gram_matrix(states: list[InternalState]) -> GramMatrix:
-    """The one-point :func:`gram_stack` of the pairwise overlaps of ``states``; no run calls it."""
+    """The one-point :func:`gram_stack` of ``states``, which share one width; no run calls it."""
     if len(states) < 1:
         raise DomainError("need at least one state")
+    widths = [s.temporal.sigma for s in states]
+    if len(set(widths)) > 1:
+        raise UnsupportedModePair(f"Gaussian modes must share sigma (got {widths})")
     m = _overlap_stack(
         [[s.temporal.delay for s in states]],
-        [[s.temporal.sigma for s in states]],
+        widths[0],
         [[(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in states]],
     )
     return GramMatrix(m[0])

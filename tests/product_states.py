@@ -42,18 +42,19 @@ def pairwise_gram(states: list[InternalState]) -> np.ndarray:
 def points_of(preparations) -> ScanPoints:
     """The arrays of ``preparations``' internal states, on an x axis ``index`` 0, 1, ...
 
-    The per-point reference of :func:`triphoton.experiment.scan_points`, and a
-    way to stack points of several recipes in one ``simulate_counts`` call.
+    The per-point reference of :func:`triphoton.experiment.scan_points`, with
+    each point's one width in a ``(P,)`` array, and a way to stack points of
+    several recipes or widths in one ``simulate_counts`` call.
     """
     states = [prepare(p) for p in preparations]
     delays = np.array([[s.temporal.delay for s in p] for p in states], dtype=float)
-    sigmas = np.array([[s.temporal.sigma for s in p] for p in states], dtype=float)
+    sigmas = np.array([p[0].temporal.sigma for p in states], dtype=float)
     pol = [[(s.polarization.amplitude_h, s.polarization.amplitude_v) for s in p] for p in states]
     return ScanPoints(
         "index",
         np.arange(len(states), dtype=float),
         delays.reshape(-1, 3),
-        sigmas.reshape(-1, 3),
+        sigmas,
         np.array(pol, dtype=complex).reshape(-1, 3, 2),
     )
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,16 @@ class TestConfigValidation:
         assert err.endswith("is not of type 'number'; ... and 9990 more\n")
         assert not (tmp_path / "bad").exists()
 
+    def test_details_keep_index_order(self, tmp_path, capsys):
+        # Indices read as numbers, not text: [0] to [9], not [0], then [10] to [18].
+        cfg = dict(IDEAL_TRIAD, grid={"kind": "triad", "values": ["a"] * 25})
+        path = write_config(tmp_path / "bad.json", cfg)
+        assert run(path, out_dir=str(tmp_path / "bad")) == 2
+        err = capsys.readouterr().err
+        listed = [int(i) for i in re.findall(r"\$\.grid\.values\[(\d+)\]", err)]
+        assert listed == list(range(10))
+        assert err.endswith("; ... and 15 more\n")
+
     @pytest.mark.parametrize(
         "text, key",
         [
@@ -317,22 +328,12 @@ class TestConfigValidation:
             ),
             ({"mode": "experiment", "source": {"purity": 0.3}}, 2, "$.source.purity"),
             ({"mode": "qubit-analysis"}, 2, "$: 'qubit' is a required property"),
-            # A denormal width fails inside the run, not in the schema.
-            ({"mode": "ideal-scan", "preparation": {"sigma": 1e-320}}, 3, "numerical"),
+            # A subnormal width has lost digits: the run rejects it by name.
+            ({"mode": "ideal-scan", "preparation": {"sigma": 1e-320}}, 2, "sigma"),
             # The output prefix names a file in the output directory, never a path.
             (dict(IDEAL_TRIAD, output=ABSOLUTE_OUTPUT), 2, "$.output"),
             (dict(IDEAL_TRIAD, output="missing/x"), 2, "$.output"),
             (dict(IDEAL_TRIAD, output="../x"), 2, "$.output"),
-            # A delay and a width whose squares overflow: the exponent is inf/inf.
-            (
-                {
-                    "mode": "ideal-scan",
-                    "preparation": {"recipe": "all_H", "sigma": 1e200},
-                    "grid": {"kind": "delay", "values": [1e200]},
-                },
-                3,
-                "numerical",
-            ),
             # Three heralds need three photons, pairs or signal noise photons:
             # the message names the parameters that rule them out.
             pytest.param(
@@ -385,6 +386,22 @@ class TestIdealScanRun:
         for name in ("P111", "P011", "P101", "P110"):
             assert rows[0, header.index(name)] == pytest.approx(2 / 9, abs=1e-15)
         assert rows[1, header.index("P111")] == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_huge_width_is_the_unit_of_delay(self, tmp_path):
+        # A delay of 1e200 at width 1e200 is the delay 1 at width 1: the
+        # delays enter over the width, so nothing overflows.
+        for sigma, tau in ((1e200, 1e200), (1.0, 1.0)):
+            cfg = {
+                "mode": "ideal-scan",
+                "preparation": {"recipe": "all_H", "sigma": sigma},
+                "grid": {"kind": "delay", "values": [tau]},
+                "output": f"width-{sigma!r}",
+            }
+            path = write_config(tmp_path / f"{sigma!r}.json", cfg)
+            assert run(path, out_dir=str(tmp_path)) == 0
+        _, huge = read_csv(tmp_path / "width-1e+200_series.csv")
+        _, unit = read_csv(tmp_path / "width-1.0_series.csv")
+        assert huge[:, 1:].tolist() == unit[:, 1:].tolist()
 
     def test_triad_x_column_is_configured_grid(self, tmp_path):
         cfg = {"mode": "ideal-scan", "preparation": {"recipe": "dynamic"}, "output": "demo"}

@@ -73,6 +73,13 @@ BASES = {
     },
 }
 
+# A width and a delay whose squares overflow.
+HUGE_WIDTH = dict(
+    BASES["ideal-scan delay"],
+    preparation={"recipe": "all_H", "sigma": 1e200},
+    grid={"kind": "delay", "values": [1e200]},
+)
+
 # Without these the run falls back to a default grid (33 or 61 points) or to
 # 100 validation instances, beyond the sizes this property keeps to.
 NEVER_DROPPED = {("grid",), ("validation",), ("validation", "instances")}
@@ -195,8 +202,8 @@ def test_bases_run(tmp_path):
         (dict(BASES["qubit-analysis"], output="missing/m"), 2),
         # No path holds a NUL.
         (dict(BASES["qubit-analysis"], output="a\x00b"), 2),
-        # A width so small that 4 sigma^2 underflows to zero.
-        (dict(BASES["ideal-scan triad"], preparation={"recipe": "dynamic", "sigma": 1e-308}), 3),
+        # A subnormal width, which has lost digits: the run rejects it by name.
+        (dict(BASES["ideal-scan triad"], preparation={"recipe": "dynamic", "sigma": 1e-308}), 2),
         # Moduli so small that their squares and product underflow to 0: no
         # qubit holds three nearly orthogonal states, and the run says so.
         ({"mode": "qubit-analysis", "qubit": {"r12": 1e-308, "r23": 1e-308, "r31": 1e-308}}, 0),
@@ -221,16 +228,9 @@ def test_bases_run(tmp_path):
         ({"mode": "qubit-analysis", "qubit": {"r12": 0, "r23": 0.5, "r31": 0.5}}, 2),
         # More validation instances than the schema's cap of 100000.
         ({"mode": "validate", "validation": {"instances": 10**12, "seed": 1}}, 2),
-        # A width and a delay whose squares overflow: the overlap exponent is
-        # inf/inf, a non-finite intermediate.
-        (
-            dict(
-                BASES["ideal-scan delay"],
-                preparation={"recipe": "all_H", "sigma": 1e200},
-                grid={"kind": "delay", "values": [1e200]},
-            ),
-            3,
-        ),
+        # The delay enters over the width, so nothing overflows: the run is
+        # the one at width 1 (test_huge_width).
+        (HUGE_WIDTH, 0),
         # An integer beyond int64 is still a float: the range is one of floats.
         pytest.param(
             dict(
@@ -267,7 +267,23 @@ def test_extreme_inputs(config, code, tmp_path, capsys):
         metadata = json.loads((tmp_path / "out" / "run_metadata.json").read_text(encoding="utf-8"))
         assert metadata["provenance"]["feasible"] is False
     elif code == 0:
-        assert (tmp_path / "out" / f"{config['output']}_series.csv").exists()
+        assert (tmp_path / "out" / f"{config['output']}_series.{config['format']}").exists()
+
+
+def test_huge_width(tmp_path):
+    # Delays enter over the width: this is the run of the delay 1 at width 1.
+    unit = dict(
+        HUGE_WIDTH,
+        preparation={"recipe": "all_H", "sigma": 1.0},
+        grid={"kind": "delay", "values": [1.0]},
+    )
+    series = []
+    for name, config in (("huge", HUGE_WIDTH), ("unit", unit)):
+        (tmp_path / name).mkdir()
+        assert _exit_code(config, tmp_path / name) == 0
+        text = (tmp_path / name / "out" / "m_series.json").read_text(encoding="utf-8")
+        series.append(json.loads(text)["series"])
+    assert series[0] == series[1]
 
 
 test_mutated_ideal_triad_scan = _misuse_property(BASES["ideal-scan triad"])

@@ -34,7 +34,7 @@ def test_same_numbers(name, tmp_path):
             2,
             id="grid-recipe",
         ),
-        pytest.param({"mode": "ideal-scan", "preparation": {"sigma": 1e-320}}, 3, id="sigma"),
+        pytest.param({"mode": "ideal-scan", "preparation": {"sigma": 1e-320}}, 2, id="sigma"),
     ],
 )
 def test_rejected_configs(config, code, tmp_path):

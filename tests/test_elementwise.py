@@ -65,7 +65,7 @@ def test_gaussian_overlap(rng):
     sigmas = rng.uniform(0.1, 10.0, INPUTS)
     delays = rng.uniform(-10.0, 10.0, (INPUTS, 2)) * sigmas[:, None]
     horizontal = np.broadcast_to([1.0, 0.0], (INPUTS, 2, 2))
-    stacked = gram_stack(delays, np.repeat(sigmas[:, None], 2, axis=1), horizontal)[:, 0, 1]
+    stacked = gram_stack(delays, sigmas, horizontal)[:, 0, 1]
     scalars = [
         temporal_overlap(GaussianTemporalMode(t1, s), GaussianTemporalMode(t2, s))
         for (t1, t2), s in zip(delays.tolist(), sigmas.tolist())

@@ -289,17 +289,22 @@ class TestIdealScans:
 
     def test_one_bad_point_fails_the_scan(self):
         points = scan_points("delay", "all_H", [0.0, 1.0, 2.0], 1.0)
-        points.sigmas[1] = -1.0
-        with pytest.raises(DomainError, match="sigma must be positive"):
+        points = points._replace(sigma=np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(DomainError, match="sigma must be a positive normal float"):
             _point_stack(points, balanced_tritter(), balanced_tritter())
-        with pytest.raises(DomainError, match="sigma must be positive"):
+        with pytest.raises(DomainError, match="sigma must be a positive normal float"):
             _point_stack(points, balanced_tritter(), perturbed_tritter())
 
 
 def assert_same_points(points, reference):
-    """Every array of ``points`` equals the reference's bit for bit, signed zeros included."""
-    for name in ("delays", "sigmas", "polarizations"):
+    """Every array of ``points`` equals the reference's bit for bit, signed zeros included.
+
+    The run's one width stands for every point's.
+    """
+    for name in ("delays", "sigma", "polarizations"):
         actual, expected = getattr(points, name), getattr(reference, name)
+        if name == "sigma":
+            actual = np.broadcast_to(actual, expected.shape)
         assert actual.shape == expected.shape and actual.dtype == expected.dtype, name
         assert actual.tobytes() == expected.tobytes(), name
 

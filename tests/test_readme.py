@@ -28,7 +28,7 @@ def test_library_example():
         exec(block("## Library example", "python"), {})
     phase, p111 = (float(line) for line in out.getvalue().split())
     assert abs(phase - math.pi / 3) < 1e-9
-    assert 0.0 <= p111 <= 1.0
+    assert abs(p111 - 1.0 / 6.0) < 1e-12
 
 
 def test_configuration_example(tmp_path):
