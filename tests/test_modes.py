@@ -205,6 +205,14 @@ class TestGramStack:
             stack = gram_stack([[1.7e308, -1.7e308]], 1.0, h)
             assert stack[0, 0, 1] == 0.0
 
+    @pytest.mark.parametrize("delays, sigma", [((0.0, 0.0), 5e-324), ((0.0, 0.0), 1e-320)])
+    def test_undefined_exponent_raises(self, delays, sigma):
+        # A subnormal width has no representable square (0/0 in the exponent)
+        # and has lost digits as a unit of delay: refused before any exponent.
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError, match="sigma must be a positive normal float"):
+                gram_stack([delays], [sigma], np.array([[(1.0, 0.0)] * 2]))
+
 
 class TestTriadPhase:
     def test_real_overlap_configuration_gives_zero(self):
